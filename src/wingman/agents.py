@@ -34,26 +34,10 @@ from wingman.protocol import (
 )
 
 
-def circle_trajectory(radius: float, omega: float, t: float) -> Vec3:
-    """Point at time t on a circle that starts at the origin.
-
-    The circle's center sits at (-radius, 0, 0) so the walk begins at
-    (0, 0, 0), matching the wearable's origin convention.
-    """
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
-    return Vec3(radius * math.cos(omega * t) - radius, 0.0, radius * math.sin(omega * t))
-
-
-def ellipse_trajectory(a: float, b: float, omega: float, t: float) -> Vec3:
-    """Point at time t on an origin-anchored ellipse (semi-axes a, b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"semi-axes must be > 0, got a={a}, b={b}")
-    return Vec3(a * math.cos(omega * t) - a, 0.0, b * math.sin(omega * t))
-
-
 @dataclass(frozen=True)
 class Circle:
+    """Circle walked from the origin; its center sits at (-radius, 0, 0)."""
+
     radius: float
     angular_speed: float
 
@@ -62,7 +46,8 @@ class Circle:
             raise ValueError(f"radius must be > 0, got {self.radius}")
 
     def position(self, t: float) -> Vec3:
-        return circle_trajectory(self.radius, self.angular_speed, t)
+        r, w = self.radius, self.angular_speed
+        return Vec3(r * math.cos(w * t) - r, 0.0, r * math.sin(w * t))
 
     def heading(self, t: float) -> float:
         w = self.angular_speed
@@ -71,6 +56,8 @@ class Circle:
 
 @dataclass(frozen=True)
 class Ellipse:
+    """Ellipse walked from the origin; its center sits at (-a, 0, 0)."""
+
     semi_axis_a: float
     semi_axis_b: float
     angular_speed: float
@@ -82,7 +69,8 @@ class Ellipse:
             )
 
     def position(self, t: float) -> Vec3:
-        return ellipse_trajectory(self.semi_axis_a, self.semi_axis_b, self.angular_speed, t)
+        a, b, w = self.semi_axis_a, self.semi_axis_b, self.angular_speed
+        return Vec3(a * math.cos(w * t) - a, 0.0, b * math.sin(w * t))
 
     def heading(self, t: float) -> float:
         w = self.angular_speed

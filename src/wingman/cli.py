@@ -12,7 +12,6 @@ import sys
 import time
 from pathlib import Path
 
-from wingman.agents import circle_trajectory, ellipse_trajectory
 from wingman.evaluation import AnnotationError, load_annotations, sync_report
 from wingman.protocol import format_float
 from wingman.scenario import (
@@ -20,6 +19,7 @@ from wingman.scenario import (
     broker_port_default,
     config_from_dict,
     load_config,
+    read_trace_csv,
     report_summary,
     run_scenario,
     write_report_json,
@@ -203,63 +203,26 @@ def _cmd_eval(args) -> int:
     else:
         if not args.trace.exists():
             raise ConfigError(f"trace file {args.trace} does not exist")
-        report = sync_report(*_trace_trajectories(args.trace))
+        trace = read_trace_csv(args.trace)
+        report = sync_report(trace.human_trajectory(), trace.drone_trajectory())
     if args.out is not None:
         write_report_json(report, args.out)
     print(report_summary(report))
     return EXIT_OK
 
 
-def _trace_trajectories(path: Path):
-    """Rebuild the mapped-human and drone trajectories from a trace.csv."""
-    from wingman.agents import world_to_drone_frame
-    from wingman.evaluation import Trajectory
-    from wingman.geometry import Vec3, wearable_delta_to_drone_delta
-
-    rows = []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "t,hx,hy,hz,hyaw,dx,dy,dz,dyaw,mode":
-            raise ConfigError(f"{path}: not a trace.csv (unexpected header)")
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 10:
-                raise ConfigError(f"{path} line {line_no}: expected 10 fields")
-            try:
-                rows.append([float(v) for v in parts[:9]])
-            except ValueError as exc:
-                raise ConfigError(f"{path} line {line_no}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    human_start = Vec3(rows[0][1], rows[0][2], rows[0][3])
-    drone_start = Vec3(rows[0][5], rows[0][6], rows[0][7])
-    times = tuple(r[0] for r in rows)
-    human_points = []
-    drone_points = []
-    for r in rows:
-        mapped = wearable_delta_to_drone_delta(Vec3(r[1], r[2], r[3]) - human_start)
-        human_points.append((mapped.x, mapped.z))
-        p = world_to_drone_frame(Vec3(r[5], r[6], r[7]), drone_start)
-        drone_points.append((p.x, p.z))
-    return (
-        Trajectory(times, tuple(human_points), label="human-mapped"),
-        Trajectory(times, tuple(drone_points), label="drone"),
-    )
-
-
 def _cmd_gen(args) -> int:
-    if args.duration <= 0 or args.rate <= 0:
-        raise ConfigError("duration and rate must be > 0")
+    if args.kind == "circle":
+        trajectory = {"kind": "circle", "radius": args.radius}
+    else:
+        trajectory = {"kind": "ellipse", "semi_axis_a": args.semi_a, "semi_axis_b": args.semi_b}
+    trajectory.update(angular_speed=args.angular_speed, rate=args.rate)
+    cfg = config_from_dict({"duration": args.duration, "trajectory": trajectory})
+    spec = cfg.trajectory
     lines = ["t,x,y,z"]
-    n = int(round(args.duration * args.rate))
-    if n < 1:
-        raise ConfigError("duration too short for the sample rate")
-    for k in range(n):
-        t = k / args.rate
-        if args.kind == "circle":
-            p = circle_trajectory(args.radius, args.angular_speed, t)
-        else:
-            p = ellipse_trajectory(args.semi_a, args.semi_b, args.angular_speed, t)
+    for k in range(int(round(cfg.duration * spec.rate))):
+        t = k / spec.rate
+        p = spec.kind.position(t)
         lines.append(",".join(format_float(v) for v in (t, p.x, p.y, p.z)))
     text = "\n".join(lines) + "\n"
     if args.out is None:

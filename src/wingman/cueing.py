@@ -98,17 +98,15 @@ class CueEngine:
         self._lock = threading.Lock()
 
     def on_message(self, topic: str, payload: bytes) -> None:
-        if topic == TOPIC_POSE:
-            try:
-                msg = decode_message(topic, payload)
-            except ValidationError:
-                return
+        if topic not in (TOPIC_POSE, TOPIC_DETECTIONS):
+            return
+        try:
+            msg = decode_message(topic, payload)
+        except ValidationError:
+            return
+        if isinstance(msg, PoseMsg):
             self._on_pose(msg)
-        elif topic == TOPIC_DETECTIONS:
-            try:
-                msg = decode_message(topic, payload)
-            except ValidationError:
-                return
+        else:
             self._on_detection(msg)
 
     def _on_pose(self, msg: PoseMsg) -> None:

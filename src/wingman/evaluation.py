@@ -159,9 +159,7 @@ def _prepare(a: Trajectory, b: Trajectory) -> tuple[np.ndarray, np.ndarray, floa
 
 def similarity(a: Trajectory, b: Trajectory) -> float:
     """Shape-and-timing similarity in (0, 1]; 1 means perfectly in sync."""
-    A, B, _ = _prepare(a, b)
-    distance, path = dtw([tuple(p) for p in A], [tuple(p) for p in B])
-    return 1.0 / (1.0 + distance / len(path))
+    return sync_report(a, b).similarity
 
 
 def _lag_samples(A: np.ndarray, B: np.ndarray) -> int:

@@ -245,21 +245,17 @@ class FollowerLoop:
         self._lock = threading.Lock()
 
     def on_message(self, topic: str, payload: bytes) -> None:
-        if topic == TOPIC_POSE:
-            try:
-                msg = decode_message(topic, payload)
-            except ValidationError:
-                self.protocol_error_count += 1
-                return
+        if topic not in (TOPIC_POSE, TOPIC_CMD):
+            return
+        try:
+            msg = decode_message(topic, payload)
+        except ValidationError:
+            self.protocol_error_count += 1
+            return
+        if isinstance(msg, PoseMsg):
             self._on_pose(msg)
-        elif topic == TOPIC_CMD:
-            try:
-                msg = decode_message(topic, payload)
-            except ValidationError:
-                self.protocol_error_count += 1
-                return
-            if isinstance(msg, DetachMsg):
-                self._on_detach(msg)
+        elif isinstance(msg, DetachMsg):
+            self._on_detach(msg)
 
     def _on_pose(self, msg: PoseMsg) -> None:
         with self._lock:

@@ -31,8 +31,6 @@ TOPIC_CMD = "tagteam/cmd"
 TOPIC_DETECTIONS = "tagteam/detections"
 TOPIC_CUES = "tagteam/cues"
 
-ALL_TOPICS = (TOPIC_POSE, TOPIC_CMD, TOPIC_DETECTIONS, TOPIC_CUES)
-
 MESSAGE_VERSION = 1
 
 _MAX_SEQUENCE = 2**64 - 1

@@ -1,6 +1,8 @@
-"""Scenario orchestration: config loading, run engines, trace recording.
+"""Scenario orchestration: config loading, the run engine, trace recording.
 
-Two run modes share one tick body:
+Two run modes share one tick body and one wiring path (six bus clients,
+their callbacks and five subscriptions); they differ only in transport
+and pacing:
 
 * ``deterministic`` - every agent talks through an in-process loopback
   broker on a virtual clock with a fixed per-tick order (wearable ->
@@ -134,10 +136,7 @@ class RunTrace:
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> tuple[RunTrace, SyncReport]:
     """Run one scenario; optionally write trace.csv/report.json/messages.jsonl."""
-    if cfg.mode == "deterministic":
-        trace = _run_deterministic(cfg)
-    else:
-        trace = _run_sockets(cfg)
+    trace = _run(cfg)
     report = sync_report(trace.human_trajectory(), trace.drone_trajectory())
     if out_dir is not None:
         out = Path(out_dir)
@@ -211,66 +210,39 @@ class _SimCore:
             publish_detection(TOPIC_DETECTIONS, encode_message(detection))
 
 
-def _run_deterministic(cfg: ScenarioConfig) -> RunTrace:
+_CLIENT_IDS = ("wearable", "follower", "cueing", "drone", "detector", "operator")
+
+
+def _run(cfg: ScenarioConfig) -> RunTrace:
+    """Wire the six bus clients to one broker and run every tick.
+
+    The modes differ only in each client's transport (loopback or TCP)
+    and, in sockets mode, in the broker server, the wall-clock pacing,
+    the final drain and the shutdown.
+    """
     core = _SimCore(cfg)
     broker = Broker()
     broker.on_publish = core.log_publish
-
-    wear_client = MqttClient(MemoryTransport(broker), "wearable")
-    follower_client = MqttClient(MemoryTransport(broker), "follower")
-    cue_client = MqttClient(MemoryTransport(broker), "cueing")
-    drone_client = MqttClient(MemoryTransport(broker), "drone", on_message=core.drone.on_message)
-    detector_client = MqttClient(MemoryTransport(broker), "detector")
-    operator_client = MqttClient(MemoryTransport(broker), "operator")
-
-    core.follower.publish = follower_client.publish
-    follower_client.on_message = core.follower.on_message
-    cue_client.on_message = core.cues.on_message
-    core.cues.publish = cue_client.publish
-
-    for client in (wear_client, follower_client, cue_client, drone_client, detector_client, operator_client):
-        client.connect()
-    follower_client.subscribe(TOPIC_POSE)
-    follower_client.subscribe(TOPIC_CMD)
-    cue_client.subscribe(TOPIC_POSE)
-    cue_client.subscribe(TOPIC_DETECTIONS)
-    drone_client.subscribe(TOPIC_CMD)
-
-    for k in range(core.n_ticks):
-        core.tick(k, wear_client.publish, detector_client.publish, operator_client.publish)
-    return core.trace
-
-
-def _run_sockets(cfg: ScenarioConfig) -> RunTrace:
-    core = _SimCore(cfg)
-    broker = Broker()
-    broker.on_publish = core.log_publish
-    server = TcpBrokerServer(broker, cfg.broker_host, cfg.broker_port)
-    try:
-        server.start()
-    except OSError as exc:
-        raise RuntimeError(f"broker bind failed on {cfg.broker_host}:{cfg.broker_port}: {exc}") from exc
+    sockets = cfg.mode == "sockets"
+    if sockets:
+        server = TcpBrokerServer(broker, cfg.broker_host, cfg.broker_port)
+        try:
+            server.start()
+        except OSError as exc:
+            raise RuntimeError(f"broker bind failed on {cfg.broker_host}:{cfg.broker_port}: {exc}") from exc
 
     clients: list[MqttClient] = []
-
-    def make_client(client_id: str, on_message=None) -> MqttClient:
-        transport = SocketTransport(cfg.broker_host, server.port)
-        client = MqttClient(transport, client_id, on_message=on_message)
-        clients.append(client)
-        return client
-
     try:
-        wear_client = make_client("wearable")
-        follower_client = make_client("follower")
-        cue_client = make_client("cueing")
-        drone_client = make_client("drone", on_message=core.drone.on_message)
-        detector_client = make_client("detector")
-        operator_client = make_client("operator")
+        for client_id in _CLIENT_IDS:
+            transport = SocketTransport(cfg.broker_host, server.port) if sockets else MemoryTransport(broker)
+            clients.append(MqttClient(transport, client_id))
+        wear_client, follower_client, cue_client, drone_client, detector_client, operator_client = clients
 
         core.follower.publish = follower_client.publish
         follower_client.on_message = core.follower.on_message
         cue_client.on_message = core.cues.on_message
         core.cues.publish = cue_client.publish
+        drone_client.on_message = core.drone.on_message
 
         for client in clients:
             client.connect()
@@ -280,20 +252,23 @@ def _run_sockets(cfg: ScenarioConfig) -> RunTrace:
         cue_client.subscribe(TOPIC_DETECTIONS)
         drone_client.subscribe(TOPIC_CMD)
 
-        start = time.monotonic()
+        start = time.monotonic() if sockets else 0.0
         for k in range(core.n_ticks):
-            lead = start + k * core.dt - time.monotonic()
-            if lead > 0:
-                time.sleep(lead)
+            if sockets:
+                lead = start + k * core.dt - time.monotonic()
+                if lead > 0:
+                    time.sleep(lead)
             core.tick(k, wear_client.publish, detector_client.publish, operator_client.publish)
-        time.sleep(2 * core.dt)  # let in-flight messages drain
+        if sockets:
+            time.sleep(2 * core.dt)  # let in-flight messages drain
     finally:
-        for client in clients:
-            try:
-                client.disconnect()
-            except Exception:
-                pass
-        server.stop()
+        if sockets:
+            for client in clients:
+                try:
+                    client.disconnect()
+                except Exception:
+                    pass
+            server.stop()
     return core.trace
 
 
@@ -305,6 +280,34 @@ def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
                   d.position.x, d.position.y, d.position.z, d.yaw]
         lines.append(",".join(format_float(v) for v in values) + f",{row.mode}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_trace_csv(path: str | Path) -> RunTrace:
+    """Parse a trace.csv back into a RunTrace anchored at its first row.
+
+    The first row's human and drone positions become the frame origins;
+    commands, bus messages and events are not part of the file.
+    """
+    trace = RunTrace()
+    with open(path, newline="") as fh:
+        if fh.readline().strip() != TRACE_HEADER:
+            raise ConfigError(f"{path}: not a trace.csv (unexpected header)")
+        for line_no, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if len(parts) != 10:
+                raise ConfigError(f"{path} line {line_no}: expected 10 fields")
+            try:
+                t, hx, hy, hz, hyaw, dx, dy, dz, dyaw = (float(v) for v in parts[:9])
+                human = Pose(Vec3(hx, hy, hz), hyaw, FrameId.WORLD, t)
+                drone = Pose(Vec3(dx, dy, dz), dyaw, FrameId.WORLD, t)
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {line_no}: {exc}") from exc
+            trace.rows.append(TraceRow(t=t, human=human, drone=drone, command=None, mode=parts[9]))
+    if not trace.rows:
+        raise ConfigError(f"{path}: no data rows")
+    trace.human_start = trace.rows[0].human.position
+    trace.drone_start = trace.rows[0].drone.position
+    return trace
 
 
 def write_report_json(report: SyncReport, path: str | Path) -> None:

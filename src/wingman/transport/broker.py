@@ -240,16 +240,6 @@ class TcpBrokerServer:
         for thread in self._threads:
             thread.join(timeout=2.0)
 
-    def serve_forever(self) -> None:
-        self.start()
-        try:
-            while self._running:
-                self._threads[0].join(timeout=0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
     def _accept_loop(self) -> None:
         assert self._listener is not None
         while self._running:

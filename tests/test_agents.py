@@ -12,11 +12,9 @@ from wingman.agents import (
     Waypoints,
     WearableSim,
     WorldObject,
-    circle_trajectory,
     detect_objects,
     drone_frame_to_world,
     drone_step,
-    ellipse_trajectory,
     load_waypoints_csv,
     load_world_csv,
     world_to_drone_frame,
@@ -32,26 +30,26 @@ def vec_approx(v: Vec3, expected: tuple[float, float, float], abs_tol=1e-12):
 
 
 def test_circle_examples():
-    assert circle_trajectory(1, 1, 0) == Vec3(0, 0, 0)
-    vec_approx(circle_trajectory(1, 1, math.pi), (-2, 0, 0))
-    vec_approx(circle_trajectory(1, 1, math.pi / 2), (-1, 0, 1))
+    assert Circle(1, 1).position(0) == Vec3(0, 0, 0)
+    vec_approx(Circle(1, 1).position(math.pi), (-2, 0, 0))
+    vec_approx(Circle(1, 1).position(math.pi / 2), (-1, 0, 1))
 
 
 def test_ellipse_examples():
-    assert ellipse_trajectory(2, 1, 1, 0) == Vec3(0, 0, 0)
-    vec_approx(ellipse_trajectory(2, 1, 1, math.pi), (-4, 0, 0))
+    assert Ellipse(2, 1, 1).position(0) == Vec3(0, 0, 0)
+    vec_approx(Ellipse(2, 1, 1).position(math.pi), (-4, 0, 0))
 
 
 def test_ellipse_degenerates_to_circle():
     for t in [0.0, 0.3, 1.7, 4.0, 9.9]:
-        assert ellipse_trajectory(0.7, 0.7, 1.3, t) == circle_trajectory(0.7, 1.3, t)
+        assert Ellipse(0.7, 0.7, 1.3).position(t) == Circle(0.7, 1.3).position(t)
 
 
 def test_trajectory_parameter_validation():
     with pytest.raises(ValueError):
-        circle_trajectory(0, 1, 0)
+        Circle(0, 1)
     with pytest.raises(ValueError):
-        ellipse_trajectory(1, -1, 1, 0)
+        Ellipse(1, -1, 1)
     with pytest.raises(ValueError):
         TrajectorySpec(Circle(0.5, 0.3), noise_sigma=-0.1)
     with pytest.raises(ValueError):

@@ -30,7 +30,21 @@ def test_gen_trajectory_stdout_and_validation(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "t,x,y,z"
     assert len(lines) == 3
+    assert main([
+        "gen-trajectory", "--kind", "ellipse", "--semi-a", "2.0", "--semi-b", "1.0",
+        "--angular-speed", "1.0", "--rate", "10", "--duration", "2.0",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 21
+    assert [float(v) for v in lines[1].split(",")] == [0.0, 0.0, 0.0, 0.0]
+    t, x, y, z = (float(v) for v in lines[11].split(","))
+    assert t == 1.0
+    assert x == pytest.approx(2.0 * math.cos(1.0) - 2.0, abs=1e-9)
+    assert y == 0.0
+    assert z == pytest.approx(math.sin(1.0), abs=1e-9)
     assert main(["gen-trajectory", "--duration", "-1"]) == 2
+    assert main(["gen-trajectory", "--rate", "0"]) == 2
+    capsys.readouterr()
 
 
 def test_run_with_config_and_out(tmp_path, capsys):
@@ -138,14 +152,24 @@ def test_eval_annotations_parse_error_exits_2(tmp_path, capsys):
 
 def test_eval_trace_round_trip(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
-    cfg.write_text(json.dumps({"duration": 2.0, "seed": 3}))
+    cfg.write_text(json.dumps({
+        "duration": 8.0,
+        "seed": 3,
+        "detach": [{"t": 2.0, "waypoints": [[0.3, 0, 0.3], [0.5, 0, 0.0]]}],
+    }))
     out_dir = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
     run_summary = capsys.readouterr().out.strip()
+    assert "DETACH" in (out_dir / "trace.csv").read_text()
     assert main(["eval", "--trace", str(out_dir / "trace.csv")]) == 0
     eval_summary = capsys.readouterr().out.strip()
-    # the trace alone reproduces the run's evaluation
-    assert eval_summary.split()[0] == run_summary.split()[0]
+    # the trace alone reproduces the run's evaluation; dtw_distance only to
+    # the 9 significant digits the trace stores
+    run_fields = dict(part.split("=") for part in run_summary.split())
+    eval_fields = dict(part.split("=") for part in eval_summary.split())
+    assert eval_fields["similarity"] == run_fields["similarity"]
+    assert eval_fields["path_length"] == run_fields["path_length"]
+    assert eval_fields["lag"] == run_fields["lag"]
 
 
 def test_eval_trace_rejects_foreign_csv(tmp_path, capsys):

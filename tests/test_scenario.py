@@ -201,6 +201,10 @@ def test_sockets_mode_smoke():
     trace, report = run_scenario(cfg)
     assert len(trace.rows) == 12
     assert 0.0 < report.similarity <= 1.0
+    # every subscription is wired over TCP too: the follower hears poses
+    # and the drone hears its commands
+    assert any(topic == TOPIC_CMD for _, topic, _ in trace.messages)
+    assert any(row.command is not None for row in trace.rows)
 
 
 def test_sockets_mode_bind_failure_is_runtime_error():
