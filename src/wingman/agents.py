@@ -149,9 +149,10 @@ class WearableSim:
     tangent. ``next_pose`` returns (ground-truth pose, published message).
     """
 
-    def __init__(self, spec: TrajectorySpec, seed: int, source_id: str = "wearable") -> None:
+    source_id = "wearable"
+
+    def __init__(self, spec: TrajectorySpec, seed: int) -> None:
         self.spec = spec
-        self.source_id = source_id
         self._rng = random.Random(f"{seed}:wearable")
         self._k = 0
 
@@ -238,7 +239,6 @@ class DroneAgent:
         max_speed: float = 1.0,
         altitude: float = 0.5,
         start_yaw: float = 0.0,
-        yaw_rate: float = math.pi,
     ) -> None:
         self.world_origin = world_start
         self.state = DroneState(
@@ -246,7 +246,6 @@ class DroneAgent:
             command=None,
             max_speed=max_speed,
             altitude=altitude,
-            yaw_rate=yaw_rate,
         )
         self._lock = threading.Lock()
 
@@ -348,7 +347,7 @@ def detect_objects(
 
 def load_waypoints_csv(path: str | Path) -> Waypoints:
     """Read a waypoint trajectory: header ``t,x,y,z``, seconds/meters."""
-    rows = _read_csv(path, ["t", "x", "y", "z"])
+    rows = read_headed_csv(path, ["t", "x", "y", "z"])
     points = []
     for line_no, row in rows:
         try:
@@ -363,7 +362,7 @@ def load_waypoints_csv(path: str | Path) -> Waypoints:
 
 def load_world_csv(path: str | Path) -> list[WorldObject]:
     """Read world objects: header ``id,label,x,y,z``; ids must be unique."""
-    rows = _read_csv(path, ["id", "label", "x", "y", "z"])
+    rows = read_headed_csv(path, ["id", "label", "x", "y", "z"])
     objects: list[WorldObject] = []
     seen: set[str] = set()
     for line_no, row in rows:
@@ -381,20 +380,26 @@ def load_world_csv(path: str | Path) -> list[WorldObject]:
     return objects
 
 
-def _read_csv(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
+def read_headed_csv(
+    path: str | Path, header: list[str], error: type[Exception] = ValueError
+) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each data row of a CSV file with ``header``.
+
+    Blank lines are skipped; a bad header or field count raises ``error``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             first = next(reader)
         except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header {','.join(header)}") from None
+            raise error(f"{path}: empty file, expected header {','.join(header)}") from None
         if [h.strip() for h in first] != header:
-            raise ValueError(f"{path}: expected header {','.join(header)}, got {','.join(first)}")
+            raise error(f"{path}: expected header {','.join(header)}, got {','.join(first)}")
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise ValueError(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
+                raise error(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
             rows.append((line_no, row))
     return rows

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -58,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--semi-a", type=float, default=None, help="ellipse semi-axis a, meters")
     p_run.add_argument("--semi-b", type=float, default=None, help="ellipse semi-axis b, meters")
     p_run.add_argument("--angular-speed", type=float, default=None, help="rad/s")
-    p_run.add_argument("--waypoints-csv", type=Path, default=None)
-    p_run.add_argument("--world-csv", type=Path, default=None)
+    p_run.add_argument("--waypoints-csv", default=None)
+    p_run.add_argument("--world-csv", default=None)
     p_run.add_argument("--port", type=int, default=None, help="broker port in sockets mode")
     p_run.add_argument("--set", dest="assignments", action="append", default=[],
                        metavar="KEY=VALUE",
@@ -78,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", type=Path, default=None, help="write the report JSON here")
 
     p_gen = sub.add_parser("gen-trajectory", help="emit a trajectory CSV (t,x,y,z)")
-    p_gen.add_argument("--kind", choices=["circle", "ellipse"], default="circle")
-    p_gen.add_argument("--radius", type=float, default=0.5)
-    p_gen.add_argument("--semi-a", type=float, default=0.75)
-    p_gen.add_argument("--semi-b", type=float, default=0.5)
-    p_gen.add_argument("--angular-speed", type=float, default=2 * math.pi / 20.0)
-    p_gen.add_argument("--rate", type=float, default=10.0)
-    p_gen.add_argument("--duration", type=float, default=60.0)
+    p_gen.add_argument("--kind", choices=["circle", "ellipse"], default=None)
+    p_gen.add_argument("--radius", type=float, default=None)
+    p_gen.add_argument("--semi-a", type=float, default=None)
+    p_gen.add_argument("--semi-b", type=float, default=None)
+    p_gen.add_argument("--angular-speed", type=float, default=None)
+    p_gen.add_argument("--rate", type=float, default=None)
+    p_gen.add_argument("--duration", type=float, default=None)
     p_gen.add_argument("--out", type=Path, default=None, help="default: stdout")
     return parser
 
@@ -128,39 +127,7 @@ def _cmd_broker(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    overrides: dict = {}
-    trajectory: dict = {}
-    if args.trajectory is not None:
-        trajectory["kind"] = args.trajectory
-    if args.radius is not None:
-        trajectory["radius"] = args.radius
-    if args.semi_a is not None:
-        trajectory["semi_axis_a"] = args.semi_a
-    if args.semi_b is not None:
-        trajectory["semi_axis_b"] = args.semi_b
-    if args.angular_speed is not None:
-        trajectory["angular_speed"] = args.angular_speed
-    if args.waypoints_csv is not None:
-        trajectory["csv"] = str(args.waypoints_csv)
-    if args.rate is not None:
-        trajectory["rate"] = args.rate
-    if args.noise_sigma is not None:
-        trajectory["noise_sigma"] = args.noise_sigma
-    if trajectory:
-        overrides["trajectory"] = trajectory
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    if args.world_csv is not None:
-        overrides["world_csv"] = str(args.world_csv)
-    if args.port is not None:
-        overrides["broker_port"] = args.port
-    for assignment in args.assignments:
-        _apply_assignment(overrides, assignment)
-
+    overrides = _overrides(args)
     if args.config is not None:
         cfg = load_config(args.config, overrides)
     else:
@@ -170,15 +137,47 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _apply_assignment(overrides: dict, assignment: str) -> None:
-    """Merge one ``dotted.key=value`` override into the config dict."""
-    key, sep, raw = assignment.partition("=")
-    if not sep or not key:
-        raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw  # bare strings are allowed unquoted
+# Named flags of run and gen-trajectory (argparse dest) -> dotted config
+# key. Defaults live in the config parser; a flag left out sets nothing.
+_FLAG_KEYS = {
+    "mode": "mode",
+    "duration": "duration",
+    "seed": "seed",
+    "trajectory": "trajectory.kind",
+    "kind": "trajectory.kind",
+    "radius": "trajectory.radius",
+    "semi_a": "trajectory.semi_axis_a",
+    "semi_b": "trajectory.semi_axis_b",
+    "angular_speed": "trajectory.angular_speed",
+    "waypoints_csv": "trajectory.csv",
+    "rate": "trajectory.rate",
+    "noise_sigma": "trajectory.noise_sigma",
+    "world_csv": "world_csv",
+    "port": "broker_port",
+}
+
+
+def _overrides(args) -> dict:
+    """Config overrides from the named flags given, then from each --set."""
+    overrides: dict = {}
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            _set_key(overrides, key, value)
+    for assignment in getattr(args, "assignments", []):
+        key, sep, raw = assignment.partition("=")
+        if not sep or not key:
+            raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw  # bare strings are allowed unquoted
+        _set_key(overrides, key, value)
+    return overrides
+
+
+def _set_key(overrides: dict, key: str, value) -> None:
+    """Set one ``dotted.key`` in the config dict."""
     node = overrides
     parts = key.split(".")
     for part in parts[:-1]:
@@ -212,12 +211,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "circle":
-        trajectory = {"kind": "circle", "radius": args.radius}
-    else:
-        trajectory = {"kind": "ellipse", "semi_axis_a": args.semi_a, "semi_axis_b": args.semi_b}
-    trajectory.update(angular_speed=args.angular_speed, rate=args.rate)
-    cfg = config_from_dict({"duration": args.duration, "trajectory": trajectory})
+    cfg = config_from_dict(_overrides(args))
     spec = cfg.trajectory
     lines = ["t,x,y,z"]
     for k in range(int(round(cfg.duration * spec.rate))):

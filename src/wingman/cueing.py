@@ -4,7 +4,7 @@ A detection becomes a cue when it lies within the cue range of the
 human; the cue carries the human-relative polar coordinates (the inputs
 a spatial-audio renderer would need) and a flag saying whether the
 object sits outside the human's forward field of view. Cues are
-deduplicated per object id over a configurable window so a continuous
+deduplicated per object id over a one-second window so a continuous
 detection stream does not spam the wearer.
 """
 
@@ -27,6 +27,8 @@ from wingman.protocol import (
     decode_message,
     encode_message,
 )
+
+DEDUP_WINDOW = 1.0  # seconds between cues for one object id
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,10 @@ class CueEngine:
         model: AttentionModel,
         publish: Callable[[str, bytes], None] | None = None,
         human_start: Vec3 = Vec3(),
-        dedup_window: float = 1.0,
     ) -> None:
-        if dedup_window < 0:
-            raise ValueError(f"dedup_window must be >= 0, got {dedup_window}")
         self.model = model
         self.publish = publish
         self.human_start = human_start
-        self.dedup_window = dedup_window
         self.cue_count = 0
         self._human: Pose | None = None
         self._last_emit: dict[str, float] = {}
@@ -125,7 +123,7 @@ class CueEngine:
             if cue is None:
                 return
             last = self._last_emit.get(detection.object_id)
-            if last is not None and detection.timestamp - last < self.dedup_window - 1e-9:
+            if last is not None and detection.timestamp - last < DEDUP_WINDOW - 1e-9:
                 return
             self._last_emit[detection.object_id] = detection.timestamp
             self.cue_count += 1

@@ -21,13 +21,14 @@ distance between shift-aligned normalized points, in seconds.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from wingman.agents import read_headed_csv
 
 ANNOTATION_HEADER = ["frame", "label", "xmin", "ymin", "xmax", "ymax"]
 
@@ -206,37 +207,23 @@ def load_annotations(path: str | Path, fps: float = 30.0) -> dict[str, Trajector
     if fps <= 0:
         raise ValueError(f"fps must be > 0, got {fps}")
     per_label: dict[str, dict[int, tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for line_no, row in read_headed_csv(path, ANNOTATION_HEADER, AnnotationError):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise AnnotationError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ANNOTATION_HEADER:
-            raise AnnotationError(
-                f"{path}: expected header {','.join(ANNOTATION_HEADER)}, got {','.join(header)}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise AnnotationError(f"{path} line {line_no}: expected 6 fields, got {len(row)}")
-            try:
-                frame = int(row[0])
-                xmin, ymin, xmax, ymax = (float(v) for v in row[2:6])
-            except ValueError as exc:
-                raise AnnotationError(f"{path} line {line_no}: {exc}") from exc
-            if frame < 0:
-                raise AnnotationError(f"{path} line {line_no}: negative frame number {frame}")
-            if xmax < xmin:
-                raise AnnotationError(f"{path} line {line_no}: xmax {xmax} < xmin {xmin}")
-            if ymax < ymin:
-                raise AnnotationError(f"{path} line {line_no}: ymax {ymax} < ymin {ymin}")
-            label = row[1]
-            boxes = per_label.setdefault(label, {})
-            if frame in boxes:
-                raise AnnotationError(f"{path} line {line_no}: duplicate frame {frame} for {label!r}")
-            boxes[frame] = ((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
+            frame = int(row[0])
+            xmin, ymin, xmax, ymax = (float(v) for v in row[2:6])
+        except ValueError as exc:
+            raise AnnotationError(f"{path} line {line_no}: {exc}") from exc
+        if frame < 0:
+            raise AnnotationError(f"{path} line {line_no}: negative frame number {frame}")
+        if xmax < xmin:
+            raise AnnotationError(f"{path} line {line_no}: xmax {xmax} < xmin {xmin}")
+        if ymax < ymin:
+            raise AnnotationError(f"{path} line {line_no}: ymax {ymax} < ymin {ymin}")
+        label = row[1]
+        boxes = per_label.setdefault(label, {})
+        if frame in boxes:
+            raise AnnotationError(f"{path} line {line_no}: duplicate frame {frame} for {label!r}")
+        boxes[frame] = ((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
     trajectories: dict[str, Trajectory] = {}
     for label, boxes in per_label.items():
         frames = sorted(boxes)

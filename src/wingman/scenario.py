@@ -36,7 +36,7 @@ from wingman.agents import (
     detect_objects,
     load_waypoints_csv,
     load_world_csv,
-    world_to_drone_frame,
+    read_headed_csv,
 )
 from wingman.cueing import AttentionModel, CueEngine
 from wingman.evaluation import SyncReport, Trajectory, sync_report
@@ -116,22 +116,18 @@ class RunTrace:
 
     def human_trajectory(self) -> Trajectory:
         """Human path mapped into drone-frame coordinates (the follow target)."""
-        times = []
-        points = []
-        for row in self.rows:
-            mapped = wearable_delta_to_drone_delta(row.human.position - self.human_start)
-            times.append(row.t)
-            points.append((mapped.x, mapped.z))
-        return Trajectory(tuple(times), tuple(points), label="human-mapped")
+        return self._trajectory("human", self.human_start, "human-mapped")
 
     def drone_trajectory(self) -> Trajectory:
-        times = []
+        return self._trajectory("drone", self.drone_start, "drone")
+
+    def _trajectory(self, agent: str, start: Vec3, label: str) -> Trajectory:
+        """One agent's horizontal path from ``start``, in drone-frame axes."""
         points = []
         for row in self.rows:
-            p = world_to_drone_frame(row.drone.position, self.drone_start)
-            times.append(row.t)
-            points.append((p.x, p.z))
-        return Trajectory(tuple(times), tuple(points), label="drone")
+            mapped = wearable_delta_to_drone_delta(getattr(row, agent).position - start)
+            points.append((mapped.x, mapped.z))
+        return Trajectory(tuple(row.t for row in self.rows), tuple(points), label=label)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> tuple[RunTrace, SyncReport]:
@@ -289,20 +285,14 @@ def read_trace_csv(path: str | Path) -> RunTrace:
     commands, bus messages and events are not part of the file.
     """
     trace = RunTrace()
-    with open(path, newline="") as fh:
-        if fh.readline().strip() != TRACE_HEADER:
-            raise ConfigError(f"{path}: not a trace.csv (unexpected header)")
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 10:
-                raise ConfigError(f"{path} line {line_no}: expected 10 fields")
-            try:
-                t, hx, hy, hz, hyaw, dx, dy, dz, dyaw = (float(v) for v in parts[:9])
-                human = Pose(Vec3(hx, hy, hz), hyaw, FrameId.WORLD, t)
-                drone = Pose(Vec3(dx, dy, dz), dyaw, FrameId.WORLD, t)
-            except ValueError as exc:
-                raise ConfigError(f"{path} line {line_no}: {exc}") from exc
-            trace.rows.append(TraceRow(t=t, human=human, drone=drone, command=None, mode=parts[9]))
+    for line_no, parts in read_headed_csv(path, TRACE_HEADER.split(","), ConfigError):
+        try:
+            t, hx, hy, hz, hyaw, dx, dy, dz, dyaw = (float(v) for v in parts[:9])
+            human = Pose(Vec3(hx, hy, hz), hyaw, FrameId.WORLD, t)
+            drone = Pose(Vec3(dx, dy, dz), dyaw, FrameId.WORLD, t)
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {line_no}: {exc}") from exc
+        trace.rows.append(TraceRow(t=t, human=human, drone=drone, command=None, mode=parts[9]))
     if not trace.rows:
         raise ConfigError(f"{path}: no data rows")
     trace.human_start = trace.rows[0].human.position
@@ -393,8 +383,8 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     try:
         trajectory = _trajectory_from_dict(doc.get("trajectory", {"kind": "circle"}), base_dir)
-        follower = _follower_from_dict(doc.get("follower", {}))
-        detector = _detector_from_dict(doc.get("detector", {}))
+        follower = _section_from_dict(doc, "follower")
+        detector = _section_from_dict(doc, "detector")
         world = _world_from_dict(doc, base_dir)
         human_start = _vec3(doc.get("human_start", [0.0, 0.0, 0.0]), "human_start")
         offset = doc.get("drone_offset", [-1.0, 0.0])
@@ -466,45 +456,41 @@ def _trajectory_from_dict(doc: dict, base_dir: Path) -> TrajectorySpec:
         raise ConfigError(f"unknown trajectory kind {kind_name!r}")
     if doc:
         raise ConfigError(f"unknown trajectory keys: {', '.join(sorted(doc))}")
-    try:
-        return TrajectorySpec(kind=kind, noise_sigma=noise_sigma, rate=rate)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrajectorySpec(kind=kind, noise_sigma=noise_sigma, rate=rate)
 
 
-def _follower_from_dict(doc: dict) -> FollowerConfig:
+# flat config sections: class, and config key -> (class field, parser)
+_SECTIONS = {
+    "follower": (FollowerConfig, {
+        "update_period": ("update_period", _number),
+        "max_speed": ("max_speed", _number),
+        "altitude": ("altitude", _number),
+        "deadband": ("deadband", _number),
+        "follow_offset": ("follow_offset", _vec3),
+    }),
+    "detector": (DetectorParams, {
+        "fov": ("fov", _number),
+        "range": ("range_m", _number),
+        "p_detect": ("p_detect", _number),
+        "pos_noise_sigma": ("pos_noise_sigma", _number),
+    }),
+}
+
+
+def _section_from_dict(config: dict, section: str):
+    """Build one flat section's object; absent keys keep the class defaults."""
+    cls, keys = _SECTIONS[section]
+    doc = config.get(section, {})
     if not isinstance(doc, dict):
-        raise ConfigError("follower must be an object")
+        raise ConfigError(f"{section} must be an object")
     doc = dict(doc)
     kwargs = {}
-    for name in ("update_period", "max_speed", "altitude", "deadband"):
-        if name in doc:
-            kwargs[name] = _number(doc.pop(name), f"follower.{name}")
-    if "follow_offset" in doc:
-        kwargs["follow_offset"] = _vec3(doc.pop("follow_offset"), "follower.follow_offset")
-    if doc:
-        raise ConfigError(f"unknown follower keys: {', '.join(sorted(doc))}")
-    try:
-        return FollowerConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _detector_from_dict(doc: dict) -> DetectorParams:
-    if not isinstance(doc, dict):
-        raise ConfigError("detector must be an object")
-    doc = dict(doc)
-    kwargs = {}
-    mapping = {"fov": "fov", "range": "range_m", "p_detect": "p_detect", "pos_noise_sigma": "pos_noise_sigma"}
-    for key, attr in mapping.items():
+    for key, (name, parse) in keys.items():
         if key in doc:
-            kwargs[attr] = _number(doc.pop(key), f"detector.{key}")
+            kwargs[name] = parse(doc.pop(key), f"{section}.{key}")
     if doc:
-        raise ConfigError(f"unknown detector keys: {', '.join(sorted(doc))}")
-    try:
-        return DetectorParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"unknown {section} keys: {', '.join(sorted(doc))}")
+    return cls(**kwargs)
 
 
 def _world_from_dict(doc: dict, base_dir: Path) -> tuple[WorldObject, ...]:

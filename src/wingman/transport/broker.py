@@ -232,9 +232,11 @@ class TcpBrokerServer:
         self._running = False
         if self._listener is not None:
             try:
-                self._listener.close()
+                # close() alone does not wake a thread blocked in accept()
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._listener.close()
         for conn in self._conns:
             conn.close()  # unblocks the reader threads
         for thread in self._threads:

@@ -24,6 +24,10 @@ from wingman.transport.packets import (
 )
 
 
+CONNECT_TIMEOUT = 5.0  # seconds to open a TCP link to the broker
+ACK_TIMEOUT = 5.0  # seconds to wait for CONNACK, SUBACK or PINGRESP
+
+
 class TransportClosed(Exception):
     """The underlying link went away."""
 
@@ -77,8 +81,8 @@ class _MemoryConnection:
 class SocketTransport:
     """TCP link with a background reader thread."""
 
-    def __init__(self, host: str, port: int, connect_timeout: float = 5.0) -> None:
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
+    def __init__(self, host: str, port: int) -> None:
+        self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
         self._sock.settimeout(None)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # small frames
         self._receiver: Callable[[bytes], None] | None = None
@@ -138,26 +142,26 @@ class MqttClient:
         self._next_packet_id = 1
         transport.set_receiver(self._on_bytes)
 
-    def connect(self, timeout: float = 5.0) -> None:
+    def connect(self) -> None:
         self._transport.send(encode_packet(Connect(self.client_id)))
-        ack = self._wait_ack(timeout)
+        ack = self._wait_ack()
         if not isinstance(ack, ConnAck):
             raise ProtocolError(f"expected CONNACK, got {type(ack).__name__}")
 
-    def subscribe(self, filter_: str, timeout: float = 5.0) -> None:
+    def subscribe(self, filter_: str) -> None:
         packet_id = self._next_packet_id
         self._next_packet_id = packet_id % 0xFFFF + 1
         self._transport.send(encode_packet(Subscribe(packet_id, filter_)))
-        ack = self._wait_ack(timeout)
+        ack = self._wait_ack()
         if not isinstance(ack, SubAck) or ack.packet_id != packet_id:
             raise ProtocolError(f"expected SUBACK {packet_id}, got {ack!r}")
 
     def publish(self, topic: str, payload: bytes) -> None:
         self._transport.send(encode_packet(Publish(topic, payload)))
 
-    def ping(self, timeout: float = 5.0) -> None:
+    def ping(self) -> None:
         self._transport.send(encode_packet(PingReq()))
-        ack = self._wait_ack(timeout)
+        ack = self._wait_ack()
         if not isinstance(ack, PingResp):
             raise ProtocolError(f"expected PINGRESP, got {type(ack).__name__}")
 
@@ -168,9 +172,9 @@ class MqttClient:
             pass
         self._transport.close()
 
-    def _wait_ack(self, timeout: float) -> Packet:
+    def _wait_ack(self) -> Packet:
         try:
-            return self._acks.get(timeout=timeout)
+            return self._acks.get(timeout=ACK_TIMEOUT)
         except queue.Empty:
             raise TimeoutError("no broker response") from None
 

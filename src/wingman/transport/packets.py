@@ -230,10 +230,7 @@ def _decode_connect(flags: int, body: bytes) -> Connect:
     client_id, offset = _read_string(body, offset + 4, "CONNECT client id")
     if offset != len(body):
         raise ProtocolError("CONNECT: trailing bytes")
-    try:
-        return Connect(client_id)
-    except PacketError as exc:
-        raise ProtocolError(str(exc)) from exc
+    return Connect(client_id)
 
 
 def _decode_publish(flags: int, body: bytes) -> Publish:
@@ -242,10 +239,7 @@ def _decode_publish(flags: int, body: bytes) -> Publish:
     if flags != 0:
         raise ProtocolError("PUBLISH: DUP/RETAIN are not supported")
     topic, offset = _read_string(body, 0, "PUBLISH topic")
-    try:
-        return Publish(topic, body[offset:])
-    except PacketError as exc:
-        raise ProtocolError(str(exc)) from exc
+    return Publish(topic, body[offset:])
 
 
 def _decode_subscribe(flags: int, body: bytes) -> Subscribe:
@@ -259,10 +253,7 @@ def _decode_subscribe(flags: int, body: bytes) -> Subscribe:
         raise ProtocolError("SUBSCRIBE: exactly one filter per packet is supported")
     if body[offset] != 0x00:
         raise ProtocolError("SUBSCRIBE: requested QoS must be 0")
-    try:
-        return Subscribe(packet_id, filter_)
-    except PacketError as exc:
-        raise ProtocolError(str(exc)) from exc
+    return Subscribe(packet_id, filter_)
 
 
 def _decode_suback(flags: int, body: bytes) -> SubAck:
@@ -273,10 +264,7 @@ def _decode_suback(flags: int, body: bytes) -> SubAck:
     (packet_id,) = struct.unpack_from(">H", body, 0)
     if body[2] != 0x00:
         raise ProtocolError("SUBACK: unexpected return code")
-    try:
-        return SubAck(packet_id)
-    except PacketError as exc:
-        raise ProtocolError(str(exc)) from exc
+    return SubAck(packet_id)
 
 
 def _decode_empty(flags: int, body: bytes, packet: Packet, name: str) -> Packet:
@@ -318,22 +306,25 @@ def decode_packet(buf: bytes) -> tuple[Packet, int] | None:
     if len(buf) < total:
         return None
     body = bytes(buf[1 + rl_len : total])
-    if ptype == _TYPE_CONNECT:
-        return _decode_connect(flags, body), total
-    if ptype == _TYPE_CONNACK:
-        return _decode_connack(flags, body), total
-    if ptype == _TYPE_PUBLISH:
-        return _decode_publish(flags, body), total
-    if ptype == _TYPE_SUBSCRIBE:
-        return _decode_subscribe(flags, body), total
-    if ptype == _TYPE_SUBACK:
-        return _decode_suback(flags, body), total
-    if ptype == _TYPE_PINGREQ:
-        return _decode_empty(flags, body, PingReq(), "PINGREQ"), total
-    if ptype == _TYPE_PINGRESP:
-        return _decode_empty(flags, body, PingResp(), "PINGRESP"), total
-    if ptype == _TYPE_DISCONNECT:
-        return _decode_empty(flags, body, Disconnect(), "DISCONNECT"), total
+    try:  # a decoded field that breaks a packet invariant is bad wire data
+        if ptype == _TYPE_CONNECT:
+            return _decode_connect(flags, body), total
+        if ptype == _TYPE_CONNACK:
+            return _decode_connack(flags, body), total
+        if ptype == _TYPE_PUBLISH:
+            return _decode_publish(flags, body), total
+        if ptype == _TYPE_SUBSCRIBE:
+            return _decode_subscribe(flags, body), total
+        if ptype == _TYPE_SUBACK:
+            return _decode_suback(flags, body), total
+        if ptype == _TYPE_PINGREQ:
+            return _decode_empty(flags, body, PingReq(), "PINGREQ"), total
+        if ptype == _TYPE_PINGRESP:
+            return _decode_empty(flags, body, PingResp(), "PINGRESP"), total
+        if ptype == _TYPE_DISCONNECT:
+            return _decode_empty(flags, body, Disconnect(), "DISCONNECT"), total
+    except PacketError as exc:
+        raise ProtocolError(str(exc)) from exc
     raise ProtocolError(f"unsupported packet type {ptype}")
 
 

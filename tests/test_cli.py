@@ -44,6 +44,9 @@ def test_gen_trajectory_stdout_and_validation(capsys):
     assert z == pytest.approx(math.sin(1.0), abs=1e-9)
     assert main(["gen-trajectory", "--duration", "-1"]) == 2
     assert main(["gen-trajectory", "--rate", "0"]) == 2
+    # a flag of the other --kind is a configuration error, as in run
+    assert main(["gen-trajectory", "--kind", "circle", "--semi-a", "1"]) == 2
+    assert main(["gen-trajectory", "--kind", "ellipse", "--radius", "1"]) == 2
     capsys.readouterr()
 
 
@@ -170,6 +173,12 @@ def test_eval_trace_round_trip(tmp_path, capsys):
     assert eval_fields["similarity"] == run_fields["similarity"]
     assert eval_fields["path_length"] == run_fields["path_length"]
     assert eval_fields["lag"] == run_fields["lag"]
+    # blank lines are skipped, as in the other CSV inputs
+    trace_csv = out_dir / "trace.csv"
+    lines = trace_csv.read_text().splitlines(keepends=True)
+    trace_csv.write_text("".join(lines[:3] + ["\n"] + lines[3:] + ["\n"]))
+    assert main(["eval", "--trace", str(trace_csv)]) == 0
+    assert capsys.readouterr().out.strip() == eval_summary
 
 
 def test_eval_trace_rejects_foreign_csv(tmp_path, capsys):

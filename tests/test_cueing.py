@@ -134,7 +134,7 @@ def test_engine_needs_a_pose_before_cueing():
 
 def test_engine_dedup_window():
     bus = CueBus()
-    engine = CueEngine(AttentionModel(), publish=bus.publish, dedup_window=1.0)
+    engine = CueEngine(AttentionModel(), publish=bus.publish)
     engine.on_message(TOPIC_POSE, pose_payload(0.0))
     for i, t in enumerate([0.0, 0.1, 0.5, 0.99]):
         engine.on_message(TOPIC_DETECTIONS, encode_message(detection(1, 0, t=t)))

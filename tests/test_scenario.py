@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -76,11 +78,18 @@ def test_config_resolves_csvs_relative_to_file(tmp_path):
     assert len(trace.rows) == 20
 
 
-def test_port_env_override(monkeypatch):
+def test_port_env_override(monkeypatch, tmp_path):
     monkeypatch.delenv("WINGMAN_BROKER_PORT", raising=False)
     assert broker_port_default() == 1883
     monkeypatch.setenv("WINGMAN_BROKER_PORT", "2883")
     assert broker_port_default() == 2883
+    # precedence: flag (an override) > config file > environment
+    assert config_from_dict({}).broker_port == 2883
+    assert config_from_dict({"broker_port": 1999}).broker_port == 1999
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({"broker_port": 1999}))
+    assert load_config(cfg_path).broker_port == 1999
+    assert load_config(cfg_path, {"broker_port": 1234}).broker_port == 1234
     monkeypatch.setenv("WINGMAN_BROKER_PORT", "not-a-port")
     with pytest.raises(ConfigError):
         broker_port_default()
@@ -181,6 +190,34 @@ def test_deterministic_runs_are_byte_identical(tmp_path):
     run_scenario(cfg, out_dir=tmp_path / "b")
     for name in ("trace.csv", "report.json", "messages.jsonl"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of the deterministic-mode artifacts of the sample configs
+# (measured with Python 3.11 and numpy 2.4): the byte-identity gate that
+# behaviour-preserving changes must keep
+SAMPLE_DIGESTS = {
+    "demo": {
+        "trace.csv": "c7230c9aceb929565d03a6beebff9e130ebc198732e37796700d36706744b24e",
+        "report.json": "6612cb9989a291c8e896f5ddababb120e442058f27b1ffc5eedc8726dacc9dbc",
+        "messages.jsonl": "60f0438a52b1366ff803ef7362f8cee48d05f57b0d1c8814fee4589ed2838836",
+    },
+    "boomerang": {
+        "trace.csv": "d4a2380f84996af5f5c2fa5eba7f7ecfa2985856243ea49af57de7ec97b2445d",
+        "report.json": "f5c93e360eadc09fa7993038a5a3419177a7c59ebb2785c6a5b7d460ef71eef3",
+        "messages.jsonl": "f531b0cba81baf5aa4aa2a29eb8c090260b962bef1c1788680eaa0a508170fa3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_sample_config_artifacts_are_pinned(name, tmp_path):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    run_scenario(load_config(configs / f"{name}.json"), out_dir=tmp_path)
+    digests = {
+        artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+        for artifact in SAMPLE_DIGESTS[name]
+    }
+    assert digests == SAMPLE_DIGESTS[name]
 
 
 def test_trace_csv_format(tmp_path):

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 
 from conftest import wait_until
@@ -146,9 +149,24 @@ def test_tcp_round_trip():
         server.stop()
 
 
-def test_tcp_concurrent_publishers_preserve_per_publisher_order():
-    import threading
+def test_tcp_stop_is_prompt_and_leaves_no_broker_threads():
+    before = set(threading.enumerate())
+    server = TcpBrokerServer(Broker(), "127.0.0.1", 0)
+    server.start()
+    client = MqttClient(SocketTransport("127.0.0.1", server.port), "c")
+    try:
+        client.connect()
+        started = time.monotonic()
+        server.stop()
+        elapsed = time.monotonic() - started
+    finally:
+        client.disconnect()
+    left = [t.name for t in set(threading.enumerate()) - before if t.name.startswith("broker-")]
+    assert elapsed < 0.5
+    assert left == []
 
+
+def test_tcp_concurrent_publishers_preserve_per_publisher_order():
     broker = Broker()
     server = TcpBrokerServer(broker, "127.0.0.1", 0)
     server.start()
