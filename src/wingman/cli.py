@@ -24,6 +24,7 @@ from wingman.scenario import (
     write_report_json,
 )
 from wingman.transport import Broker, TcpBrokerServer
+from wingman.transport.broker import DEFAULT_PORT
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,6 +156,9 @@ _FLAG_KEYS = {
     "world_csv": "world_csv",
     "port": "broker_port",
 }
+# Path flags name files relative to the working directory; paths written
+# in a config file stay relative to that file's directory.
+_PATH_FLAGS = {"waypoints_csv", "world_csv"}
 
 
 def _overrides(args) -> dict:
@@ -163,6 +167,8 @@ def _overrides(args) -> dict:
     for dest, key in _FLAG_KEYS.items():
         value = getattr(args, dest, None)
         if value is not None:
+            if dest in _PATH_FLAGS:
+                value = str(Path(value).absolute())
             _set_key(overrides, key, value)
     for assignment in getattr(args, "assignments", []):
         key, sep, raw = assignment.partition("=")
@@ -211,7 +217,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = config_from_dict(_overrides(args))
+    # no broker here: a fixed port keeps WINGMAN_BROKER_PORT from being read
+    cfg = config_from_dict({"broker_port": DEFAULT_PORT, **_overrides(args)})
     spec = cfg.trajectory
     lines = ["t,x,y,z"]
     for k in range(int(round(cfg.duration * spec.rate))):

@@ -53,6 +53,7 @@ from wingman.protocol import (
     format_float,
 )
 from wingman.transport import Broker, MemoryTransport, MqttClient, SocketTransport, TcpBrokerServer
+from wingman.transport.broker import DEFAULT_PORT
 
 TRACE_HEADER = "t,hx,hy,hz,hyaw,dx,dy,dz,dyaw,mode"
 
@@ -79,7 +80,7 @@ class ScenarioConfig:
     drone_offset: tuple[float, float] = (-1.0, 0.0)  # world (x, z) offset from the human start
     detach_script: tuple[tuple[float, tuple[Vec3, ...]], ...] = ()
     broker_host: str = "127.0.0.1"
-    broker_port: int = 1883
+    broker_port: int = DEFAULT_PORT
 
     def __post_init__(self) -> None:
         if self.duration <= 0:
@@ -334,7 +335,7 @@ def broker_port_default() -> int:
     """Default broker port honoring the environment override."""
     value = os.environ.get(PORT_ENV_VAR)
     if value is None:
-        return 1883
+        return DEFAULT_PORT
     try:
         return int(value)
     except ValueError as exc:
@@ -391,7 +392,7 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         if not isinstance(offset, (list, tuple)) or len(offset) != 2:
             raise ConfigError("drone_offset must be a [x, z] pair")
         detach = _detach_from_dict(doc.get("detach", []))
-        port = doc.get("broker_port", broker_port_default())
+        port = doc["broker_port"] if "broker_port" in doc else broker_port_default()
         if not isinstance(port, int) or not 0 <= port <= 65535:
             raise ConfigError(f"broker_port must be 0..65535, got {port!r}")
         return ScenarioConfig(

@@ -73,6 +73,26 @@ def test_run_flag_overrides_without_config(capsys):
     assert "similarity=" in capsys.readouterr().out
 
 
+def test_run_path_flags_resolve_against_working_directory(tmp_path, monkeypatch, capsys):
+    world = "id,label,x,y,z\ncrate,box,-2,0,0\n"
+    (tmp_path / "objects.csv").write_text(world)
+    (tmp_path / "way.csv").write_text("t,x,y,z\n0,0,0,0\n1,1,0,0\n")
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "s.json").write_text(json.dumps({"duration": 1.0}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", "sub/s.json", "--world-csv", "objects.csv"]) == 0
+    assert main([
+        "run", "--config", "sub/s.json", "--trajectory", "waypoints", "--waypoints-csv", "way.csv",
+    ]) == 0
+    # a path written in the config file stays relative to the file
+    (sub / "s.json").write_text(json.dumps({"duration": 1.0, "world_csv": "objects.csv"}))
+    assert main(["run", "--config", "sub/s.json"]) == 2
+    (sub / "objects.csv").write_text(world)
+    assert main(["run", "--config", "sub/s.json"]) == 0
+    capsys.readouterr()
+
+
 def test_run_set_overrides(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({"duration": 10.0, "seed": 3}))
@@ -187,6 +207,21 @@ def test_eval_trace_rejects_foreign_csv(tmp_path, capsys):
     assert main(["eval", "--trace", str(bogus)]) == 2
     assert main(["eval", "--trace", str(tmp_path / "none.csv")]) == 2
     capsys.readouterr()
+
+
+def test_bad_port_env_only_fails_commands_that_read_it(monkeypatch, capsys):
+    monkeypatch.delenv("WINGMAN_BROKER_PORT", raising=False)
+    assert main(["gen-trajectory", "--duration", "1"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setenv("WINGMAN_BROKER_PORT", "abc")
+    # gen-trajectory uses no broker
+    assert main(["gen-trajectory", "--duration", "1"]) == 0
+    assert capsys.readouterr().out == expected
+    # an explicit port wins without reading the environment
+    assert main(["run", "--duration", "1", "--port", "1999"]) == 0
+    # with no port given, run still reports the bad environment
+    assert main(["run", "--duration", "1"]) == 2
+    assert "WINGMAN_BROKER_PORT" in capsys.readouterr().err
 
 
 def test_broker_port_env_parsing(monkeypatch):

@@ -1,10 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from wingman.evaluation import (
+    _WAVEFRONT_MIN_DIAGONAL,
     AnnotationError,
     Trajectory,
     dtw,
@@ -132,6 +135,86 @@ def test_dtw_equals_exhaustive_minimum_small():
     pairs = [(rng.choice(sequences), rng.choice(sequences)) for _ in range(1500)]
     for a, b in pairs:
         assert dtw(list(a), list(b))[0] == brute_force_dtw(a, b)
+
+
+def reference_dtw(a, b):
+    """Full-matrix DTW: each cell is its cost plus the least predecessor;
+    the backtrack prefers diagonal, then (i-1, j), then (i, j-1)."""
+    A = [tuple(p) if isinstance(p, (tuple, list)) else (p,) for p in a]
+    B = [tuple(p) if isinstance(p, (tuple, list)) else (p,) for p in b]
+    n, m = len(A), len(B)
+    D = [[math.inf] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            c = math.hypot(*(x - y for x, y in zip(A[i], B[j])))
+            if i == 0 and j == 0:
+                D[i][j] = c
+            else:
+                diag = D[i - 1][j - 1] if i and j else math.inf
+                up = D[i - 1][j] if i else math.inf
+                left = D[i][j - 1] if j else math.inf
+                D[i][j] = c + min(diag, up, left)
+    i, j = n - 1, m - 1
+    path = [(i, j)]
+    while i or j:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, up, left = D[i - 1][j - 1], D[i - 1][j], D[i][j - 1]
+            if diag <= up and diag <= left:
+                i, j = i - 1, j - 1
+            elif up <= left:
+                i -= 1
+            else:
+                j -= 1
+        path.append((i, j))
+    return D[n - 1][m - 1], path[::-1]
+
+
+def test_dtw_full_path_and_tie_order_match_reference():
+    # integer values make many equal-cost predecessors, so the tie order
+    # decides the path; shapes fall on both sides of the scalar/wavefront
+    # switch
+    rng = random.Random(11)
+    shapes = [(n, m) for n in range(1, 9) for m in range(1, 9)] * 4
+    shapes += [(rng.randint(40, 120), rng.randint(40, 120)) for _ in range(12)]
+    shapes += [(120, 120), (1, 60), (60, 2), (30, 400)]
+    assert {n * m < _WAVEFRONT_MIN_DIAGONAL * (n + m - 1) for n, m in shapes} == {True, False}
+    for n, m in shapes:
+        for dim in (1, 2):
+            if dim == 1:
+                a = [rng.randrange(3) for _ in range(n)]
+                b = [rng.randrange(3) for _ in range(m)]
+            else:
+                a = [(rng.randrange(3), rng.randrange(3)) for _ in range(n)]
+                b = [(rng.randrange(3), rng.randrange(3)) for _ in range(m)]
+            assert dtw(a, b) == reference_dtw(a, b), (n, m, dim)
+
+
+def test_dtw_noisy_circle_is_bit_identical_to_reference():
+    rng = np.random.default_rng(13)
+    t = np.linspace(0.0, 2 * np.pi, 300)
+    a = np.stack([np.cos(t), np.sin(t)], axis=1) + rng.normal(0.0, 0.05, (300, 2))
+    b = np.stack([np.cos(t - 0.2), np.sin(t - 0.2)], axis=1)
+    distance, path = dtw(a, b)
+    ref_distance, ref_path = reference_dtw(a.tolist(), b.tolist())
+    assert distance == ref_distance  # bit-identical, not approximate
+    assert path == ref_path
+
+
+def test_dtw_memory_is_one_byte_per_cell():
+    # 2000 x 2000 cells: 4 MB of backtrack moves; a float64 cost matrix
+    # alone would be 32 MB
+    a, b = np.random.default_rng(14).normal(size=(2, 2000, 2))
+    tracemalloc.start()
+    try:
+        dtw(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def circle_trajectories(n=32, rotate_by=1):

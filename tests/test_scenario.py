@@ -93,6 +93,11 @@ def test_port_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("WINGMAN_BROKER_PORT", "not-a-port")
     with pytest.raises(ConfigError):
         broker_port_default()
+    # the environment is read only when no port is given
+    with pytest.raises(ConfigError):
+        config_from_dict({})
+    assert config_from_dict({"broker_port": 1999}).broker_port == 1999
+    assert load_config(cfg_path).broker_port == 1999
 
 
 def base_cfg(**kw) -> ScenarioConfig:
