@@ -247,6 +247,7 @@ class DroneAgent:
             max_speed=max_speed,
             altitude=altitude,
         )
+        self.protocol_error_count = 0
         self._lock = threading.Lock()
 
     def on_message(self, topic: str, payload: bytes) -> None:
@@ -255,6 +256,7 @@ class DroneAgent:
         try:
             msg = decode_message(topic, payload)
         except ValidationError:
+            self.protocol_error_count += 1
             return
         if isinstance(msg, CommandMsg):
             with self._lock:

@@ -53,9 +53,12 @@ def is_in_blindspot(human: Pose, point: Vec3, fov: float) -> bool:
     if not 0 < fov <= 2 * math.pi:
         raise ValueError(f"fov must be in (0, 2*pi], got {fov}")
     distance, azimuth = relative_polar(human, point)
-    if distance == 0.0:
-        return False
-    return abs(azimuth) > fov / 2
+    return _outside_fov(distance, azimuth, fov)
+
+
+def _outside_fov(distance: float, azimuth: float, fov: float) -> bool:
+    """Blind-spot rule on a human-relative polar position."""
+    return distance != 0.0 and abs(azimuth) > fov / 2
 
 
 def make_cue(human: Pose, detection: DetectionMsg, model: AttentionModel) -> CueMsg | None:
@@ -68,7 +71,7 @@ def make_cue(human: Pose, detection: DetectionMsg, model: AttentionModel) -> Cue
         label=detection.label,
         distance=distance,
         azimuth=azimuth,
-        blind_spot=is_in_blindspot(human, detection.position, model.human_fov),
+        blind_spot=_outside_fov(distance, azimuth, model.human_fov),
         timestamp=detection.timestamp,
     )
 
@@ -91,6 +94,7 @@ class CueEngine:
         self.publish = publish
         self.human_start = human_start
         self.cue_count = 0
+        self.protocol_error_count = 0
         self._human: Pose | None = None
         self._last_emit: dict[str, float] = {}
         self._lock = threading.Lock()
@@ -101,6 +105,7 @@ class CueEngine:
         try:
             msg = decode_message(topic, payload)
         except ValidationError:
+            self.protocol_error_count += 1
             return
         if isinstance(msg, PoseMsg):
             self._on_pose(msg)

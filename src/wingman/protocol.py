@@ -3,7 +3,10 @@
 Topic -> schema binding is closed: ``tagteam/pose`` carries PoseMsg,
 ``tagteam/cmd`` carries CommandMsg or DetachMsg (discriminated by the
 ``kind`` field), ``tagteam/detections`` carries DetectionMsg and
-``tagteam/cues`` carries CueMsg. See docs/protocol.md for field tables.
+``tagteam/cues`` carries CueMsg. The table ``_WIRE`` below is the one
+source of each message's wire keys, their order and their wire types;
+one encoder and one decoder read it. docs/protocol.md describes what the
+fields mean and their constraints.
 
 Encoding is canonical: fixed key order, floats rendered with 9
 significant digits, no whitespace. Float fields therefore live on the
@@ -13,9 +16,11 @@ came out of :func:`decode_message` qualifies), decode(encode(m)) == m and
 byte equality implies message equality.
 
 Decoding is strict: unknown topics raise RoutingError, and a missing,
-extra or ill-typed field raises ValidationError naming the field.
-Decoding never fabricates defaults. Angle fields are re-normalized on
-construction; range constraints (confidence, speed, distance) are errors.
+extra or ill-typed field raises ValidationError naming the field, as
+does a payload that is not JSON or whose numbers or nesting are too
+large to represent. Decoding never fabricates defaults. Angle fields are
+re-normalized on construction; range constraints (confidence, speed,
+distance) are errors.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 from wingman.geometry import FrameId, Pose, Vec3, wrap_azimuth
 
@@ -189,89 +195,159 @@ def _check_sequence(seq) -> None:
         raise ValidationError(f"sequence: {seq!r} not a uint64")
 
 
+def _wearable_pose(frame: str, x: float, y: float, z: float, yaw: float, timestamp: float) -> Pose:
+    if frame != FrameId.WEARABLE.value:
+        raise ValidationError(f"pose.frame: expected wearable, got {frame!r}")
+    try:
+        return Pose(Vec3(x, y, z), yaw, FrameId.WEARABLE, timestamp)
+    except ValueError as exc:
+        raise ValidationError(f"pose: {exc}") from exc
+
+
+class _Object:
+    """One JSON object on the wire: its keys in order, each with a wire type.
+
+    A wire type is ``str``, ``int``, ``float``, ``bool``, a nested
+    ``_Object``, or ``[_Object]`` for a list of them. ``values`` maps a
+    Python object to its values in key order; ``build`` makes the object
+    from them.
+    """
+
+    head = "{"
+
+    def __init__(self, fields: tuple[tuple[str, object], ...], values, build) -> None:
+        self.fields, self.values, self.build = fields, values, build
+        self.keys = {key for key, _ in fields}
+        self._renders = tuple((json.dumps(key) + ":", _renderer(kind)) for key, kind in fields)
+
+    def encode(self, obj) -> str:
+        parts = [key + render(value) for (key, render), value in zip(self._renders, self.values(obj))]
+        return self.head + ",".join(parts) + "}"
+
+    def decode(self, doc: dict):
+        """The object ``doc`` holds; ValidationError names the first bad key."""
+        if doc.keys() != self.keys:  # raise at the first missing or ill-typed key, else the first extra
+            for key, kind in self.fields:
+                _take(doc, key, kind)
+            _done(doc)
+        values = []
+        for key, kind in self.fields:
+            value = doc[key]
+            values.append(value if type(value) is kind else _convert(key, kind, value))
+        return self.build(*values)
+
+
+class _Message(_Object):
+    """The top-level object of one message type, published on ``topic``.
+
+    It opens with the version and, on ``tagteam/cmd`` only, with the
+    ``kind`` discriminator.
+    """
+
+    def __init__(self, topic: str, kind: str | None, fields, values, build) -> None:
+        super().__init__(fields, values, build)
+        self.topic, self.kind = topic, kind
+        self.head = f'{{"v":{MESSAGE_VERSION},' + (f'"kind":{json.dumps(kind)},' if kind else "")
+
+
+def _renderer(kind):
+    if isinstance(kind, _Object):
+        return kind.encode
+    if isinstance(kind, list):
+        return lambda entries: "[" + ",".join(map(kind[0].encode, entries)) + "]"
+    # encode_basestring writes a str exactly as json.dumps(s, ensure_ascii=False) does
+    return encode_basestring if kind is str else _dumps
+
+
+def _convert(key: str, kind, value):
+    """``value`` as wire type ``kind`` when its JSON type is not ``kind`` itself."""
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValidationError(f"{key}: number out of range") from None
+    if isinstance(kind, _Object) and type(value) is dict:
+        return kind.decode(value)
+    if isinstance(kind, list) and type(value) is list:
+        for i, entry in enumerate(value):
+            if type(entry) is not dict:
+                raise ValidationError(f"{key}[{i}]: expected an object")
+        return [kind[0].decode(entry) for entry in value]
+    expected = "dict" if isinstance(kind, _Object) else "list" if isinstance(kind, list) else kind.__name__
+    expected = {"float": "a number", "int": "an integer"}.get(expected, expected)
+    raise ValidationError(f"{key}: expected {expected}, got {type(value).__name__}")
+
+
+_XYZ = (("x", float), ("y", float), ("z", float))
+_POSE = _Object(
+    (("frame", str), *_XYZ, ("yaw", float), ("timestamp", float)),
+    lambda pose: (pose.frame.value, *pose.position.as_tuple(), pose.yaw, pose.timestamp),
+    _wearable_pose,
+)
+
+# The one statement of each message's wire keys, their order and their wire types.
+_WIRE: dict[type, _Message] = {
+    PoseMsg: _Message(
+        TOPIC_POSE, None, (("source_id", str), ("sequence", int), ("pose", _POSE)),
+        lambda m: (m.source_id, m.sequence, m.pose),
+        lambda source_id, sequence, pose: PoseMsg(source_id, pose, sequence),
+    ),
+    CommandMsg: _Message(
+        TOPIC_CMD, "move", (("sequence", int), *_XYZ, ("yaw", float), ("speed", float)),
+        lambda m: (m.sequence, *m.target.as_tuple(), m.yaw, m.speed),
+        lambda sequence, x, y, z, yaw, speed: CommandMsg(Vec3(x, y, z), yaw, speed, sequence),
+    ),
+    DetachMsg: _Message(
+        TOPIC_CMD, "detach", (("sequence", int), ("waypoints", [_Object(_XYZ, Vec3.as_tuple, Vec3)])),
+        lambda m: (m.sequence, m.waypoints),
+        lambda sequence, waypoints: DetachMsg(waypoints, sequence),
+    ),
+    DetectionMsg: _Message(
+        TOPIC_DETECTIONS, None,
+        (("object_id", str), ("label", str), *_XYZ, ("confidence", float), ("timestamp", float)),
+        lambda m: (m.object_id, m.label, *m.position.as_tuple(), m.confidence, m.timestamp),
+        lambda object_id, label, x, y, z, confidence, timestamp: DetectionMsg(
+            object_id, label, Vec3(x, y, z), confidence, timestamp
+        ),
+    ),
+    CueMsg: _Message(
+        TOPIC_CUES, None,
+        (("object_id", str), ("label", str), ("distance", float), ("azimuth", float),
+         ("blind_spot", bool), ("timestamp", float)),
+        lambda m: (m.object_id, m.label, m.distance, m.azimuth, m.blind_spot, m.timestamp),
+        CueMsg,
+    ),
+}
+_BY_TOPIC = {wire.topic: wire for wire in _WIRE.values() if wire.kind is None}
+_BY_KIND = {wire.kind: wire for wire in _WIRE.values() if wire.kind is not None}
+
+
 def encode_message(msg: Message) -> bytes:
     """Canonical JSON bytes for one message."""
-    if isinstance(msg, PoseMsg):
-        doc = {
-            "v": MESSAGE_VERSION,
-            "source_id": msg.source_id,
-            "sequence": msg.sequence,
-            "pose": {
-                "frame": msg.pose.frame.value,
-                "x": msg.pose.position.x,
-                "y": msg.pose.position.y,
-                "z": msg.pose.position.z,
-                "yaw": msg.pose.yaw,
-                "timestamp": msg.pose.timestamp,
-            },
-        }
-    elif isinstance(msg, CommandMsg):
-        doc = {
-            "v": MESSAGE_VERSION,
-            "kind": "move",
-            "sequence": msg.sequence,
-            "x": msg.target.x,
-            "y": msg.target.y,
-            "z": msg.target.z,
-            "yaw": msg.yaw,
-            "speed": msg.speed,
-        }
-    elif isinstance(msg, DetachMsg):
-        doc = {
-            "v": MESSAGE_VERSION,
-            "kind": "detach",
-            "sequence": msg.sequence,
-            "waypoints": [{"x": w.x, "y": w.y, "z": w.z} for w in msg.waypoints],
-        }
-    elif isinstance(msg, DetectionMsg):
-        doc = {
-            "v": MESSAGE_VERSION,
-            "object_id": msg.object_id,
-            "label": msg.label,
-            "x": msg.position.x,
-            "y": msg.position.y,
-            "z": msg.position.z,
-            "confidence": msg.confidence,
-            "timestamp": msg.timestamp,
-        }
-    elif isinstance(msg, CueMsg):
-        doc = {
-            "v": MESSAGE_VERSION,
-            "object_id": msg.object_id,
-            "label": msg.label,
-            "distance": msg.distance,
-            "azimuth": msg.azimuth,
-            "blind_spot": msg.blind_spot,
-            "timestamp": msg.timestamp,
-        }
-    else:
+    wire = _WIRE.get(type(msg))
+    if wire is None:
         raise ValidationError(f"unknown message type {type(msg).__name__}")
-    return _dumps(doc).encode("utf-8")
+    return wire.encode(msg).encode("utf-8")
 
 
 def decode_message(topic: str, payload: bytes) -> Message:
     """Parse and validate the payload for one of the four defined topics."""
-    if topic == TOPIC_POSE:
-        return _decode_pose(_load(payload))
-    if topic == TOPIC_CMD:
-        doc = _load(payload)
+    wire = _BY_TOPIC.get(topic)
+    if wire is None and topic != TOPIC_CMD:
+        raise RoutingError(f"no schema bound to topic {topic!r}")
+    doc = _load(payload)
+    if wire is None:
         kind = _take(doc, "kind", str)
-        if kind == "move":
-            return _decode_move(doc)
-        if kind == "detach":
-            return _decode_detach(doc)
-        raise ValidationError(f"kind: unknown command kind {kind!r}")
-    if topic == TOPIC_DETECTIONS:
-        return _decode_detection(_load(payload))
-    if topic == TOPIC_CUES:
-        return _decode_cue(_load(payload))
-    raise RoutingError(f"no schema bound to topic {topic!r}")
+        wire = _BY_KIND.get(kind)
+        if wire is None:
+            raise ValidationError(f"kind: unknown command kind {kind!r}")
+    return wire.decode(doc)
 
 
 def _load(payload: bytes) -> dict:
     try:
         doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
         raise ValidationError(f"payload is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("payload: JSON object expected")
@@ -285,90 +361,9 @@ def _take(doc: dict, field: str, kind) -> object:
     if field not in doc:
         raise ValidationError(f"{field}: missing")
     value = doc.pop(field)
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{field}: expected a number, got {type(value).__name__}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{field}: expected an integer, got {type(value).__name__}")
-        return value
-    if not isinstance(value, kind):
-        raise ValidationError(f"{field}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
+    return value if type(value) is kind else _convert(field, kind, value)
 
 
 def _done(doc: dict) -> None:
     if doc:
         raise ValidationError(f"{sorted(doc)[0]}: unexpected field")
-
-
-def _wrap(field: str, build):
-    try:
-        return build()
-    except ValidationError:
-        raise
-    except ValueError as exc:
-        raise ValidationError(f"{field}: {exc}") from exc
-
-
-def _decode_pose(doc: dict) -> PoseMsg:
-    source_id = _take(doc, "source_id", str)
-    sequence = _take(doc, "sequence", int)
-    pose_doc = _take(doc, "pose", dict)
-    _done(doc)
-    frame = _take(pose_doc, "frame", str)
-    if frame != FrameId.WEARABLE.value:
-        raise ValidationError(f"pose.frame: expected wearable, got {frame!r}")
-    position = Vec3(_take(pose_doc, "x", float), _take(pose_doc, "y", float), _take(pose_doc, "z", float))
-    yaw = _take(pose_doc, "yaw", float)
-    timestamp = _take(pose_doc, "timestamp", float)
-    _done(pose_doc)
-    pose = _wrap("pose", lambda: Pose(position, yaw, FrameId.WEARABLE, timestamp))
-    return PoseMsg(source_id, pose, sequence)
-
-
-def _decode_move(doc: dict) -> CommandMsg:
-    sequence = _take(doc, "sequence", int)
-    target = Vec3(_take(doc, "x", float), _take(doc, "y", float), _take(doc, "z", float))
-    yaw = _take(doc, "yaw", float)
-    speed = _take(doc, "speed", float)
-    _done(doc)
-    return CommandMsg(target, yaw, speed, sequence)
-
-
-def _decode_detach(doc: dict) -> DetachMsg:
-    sequence = _take(doc, "sequence", int)
-    raw = _take(doc, "waypoints", list)
-    _done(doc)
-    waypoints = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"waypoints[{i}]: expected an object")
-        entry = dict(entry)
-        waypoints.append(
-            Vec3(_take(entry, "x", float), _take(entry, "y", float), _take(entry, "z", float))
-        )
-        _done(entry)
-    return DetachMsg(tuple(waypoints), sequence)
-
-
-def _decode_detection(doc: dict) -> DetectionMsg:
-    object_id = _take(doc, "object_id", str)
-    label = _take(doc, "label", str)
-    position = Vec3(_take(doc, "x", float), _take(doc, "y", float), _take(doc, "z", float))
-    confidence = _take(doc, "confidence", float)
-    timestamp = _take(doc, "timestamp", float)
-    _done(doc)
-    return DetectionMsg(object_id, label, position, confidence, timestamp)
-
-
-def _decode_cue(doc: dict) -> CueMsg:
-    object_id = _take(doc, "object_id", str)
-    label = _take(doc, "label", str)
-    distance = _take(doc, "distance", float)
-    azimuth = _take(doc, "azimuth", float)
-    blind_spot = _take(doc, "blind_spot", bool)
-    timestamp = _take(doc, "timestamp", float)
-    _done(doc)
-    return CueMsg(object_id, label, distance, azimuth, blind_spot, timestamp)

@@ -90,6 +90,7 @@ def test_make_cue_examples():
     assert cue.blind_spot is False
 
     assert make_cue(human(), detection(10, 0), model) is None
+    assert make_cue(human(1, 2), detection(1, 2), model).blind_spot is False
 
 
 def test_emitted_cues_respect_invariants():
@@ -102,10 +103,12 @@ def test_emitted_cues_respect_invariants():
             FrameId.WORLD,
             0.0,
         )
-        cue = make_cue(pose, detection(rng.uniform(-9, 9), rng.uniform(-9, 9)), model)
+        sighting = detection(rng.uniform(-9, 9), rng.uniform(-9, 9))
+        cue = make_cue(pose, sighting, model)
         if cue is not None:
             assert cue.distance <= model.cue_range
             assert -math.pi < cue.azimuth <= math.pi
+            assert cue.blind_spot == is_in_blindspot(pose, sighting.position, model.human_fov)
 
 
 class CueBus:

@@ -1,10 +1,15 @@
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from conftest import random_wire_vec3
+from wingman.agents import DroneAgent
+from wingman.cueing import AttentionModel, CueEngine
+from wingman.follower import FollowerConfig, FollowerLoop
 from wingman.geometry import FrameId, Pose, Vec3
 from wingman.protocol import (
     TOPIC_CMD,
@@ -220,3 +225,63 @@ def test_invalid_json_is_validation_error():
         decode_message(TOPIC_POSE, b"not json")
     with pytest.raises(ValidationError):
         decode_message(TOPIC_POSE, b"[1,2,3]")
+
+
+def test_docs_examples_round_trip_and_int_values_pin_bytes():
+    docs = (Path(__file__).resolve().parents[1] / "docs" / "protocol.md").read_text(encoding="utf-8")
+    examples = re.findall(r"^### \w+ — `(tagteam/\w+)`.*?```json\n(.*?)```", docs, re.S | re.M)
+    assert [topic for topic, _ in examples] == [TOPIC_POSE, TOPIC_CMD, TOPIC_CMD, TOPIC_DETECTIONS, TOPIC_CUES]
+    for topic, example in examples:
+        payload = "".join(example.split()).encode()
+        assert encode_message(decode_message(topic, payload)) == payload
+    assert encode_message(CommandMsg(Vec3(1, 0, -2), 3, 2, 5)) == (
+        b'{"v":1,"kind":"move","sequence":5,"x":1,"y":0,"z":-2,"yaw":3,"speed":2}'
+    )
+    assert encode_message(DetectionMsg("a", "b", Vec3(1, 2, 3), 1, 4)) == (
+        b'{"v":1,"object_id":"a","label":"b","x":1,"y":2,"z":3,"confidence":1,"timestamp":4}'
+    )
+
+
+def test_nested_rejects_name_the_field():
+    doc = json.loads(encode_message(make_pose_msg(random.Random(6))))
+    doc["pose"]["bonus"] = 1
+    with pytest.raises(ValidationError, match="^bonus: unexpected field"):
+        decode_message(TOPIC_POSE, json.dumps(doc).encode())
+    detach = DetachMsg((Vec3(1.0, 0.0, 2.0), Vec3(3.0, 0.0, 4.0)), 0)
+    doc = json.loads(encode_message(detach))
+    doc["waypoints"][1] = [3, 0, 4]
+    with pytest.raises(ValidationError, match=re.escape("waypoints[1]: expected an object")):
+        decode_message(TOPIC_CMD, json.dumps(doc).encode())
+    doc = json.loads(encode_message(detach))
+    del doc["waypoints"][0]["z"]
+    with pytest.raises(ValidationError, match="^z: missing"):
+        decode_message(TOPIC_CMD, json.dumps(doc).encode())
+    doc = json.loads(encode_message(detach))
+    del doc["kind"]
+    with pytest.raises(ValidationError, match="^kind: missing"):
+        decode_message(TOPIC_CMD, json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'{"v":1,"object_id":"o","label":"l","x":1' + b"0" * 400 + b',"y":0,"z":0,"confidence":1,"timestamp":0}',
+        b'{"v":1,"object_id":"o","label":"l","x":' + b"1" * 5000 + b',"y":0,"z":0,"confidence":1,"timestamp":0}',
+        b'{"v":1,"object_id":"o","label":' + b"[" * 50000 + b"]" * 50000 + b"}",
+    ],
+    ids=["int-beyond-float-range", "int-beyond-digit-limit", "nesting-beyond-recursion-limit"],
+)
+def test_oversized_numbers_and_nesting_are_validation_errors(payload):
+    # float(), Python's int digit limit and the JSON parser's recursion limit raise
+    # OverflowError, ValueError and RecursionError on these; a component must not see them
+    with pytest.raises(ValidationError):
+        decode_message(TOPIC_DETECTIONS, payload)
+
+
+def test_components_count_payloads_they_reject():
+    drone = DroneAgent(Vec3())
+    cues = CueEngine(AttentionModel())
+    follower = FollowerLoop(FollowerConfig())
+    for component, topic in ((drone, TOPIC_CMD), (cues, TOPIC_DETECTIONS), (follower, TOPIC_POSE)):
+        component.on_message(topic, b'{"v":1,"kind":')
+        assert component.protocol_error_count == 1
