@@ -287,6 +287,20 @@ class WorldObject:
             raise ValueError(f"object {self.object_id!r}: non-finite position")
 
 
+# Pre-gate of detect_objects. It skips an object only when plain
+# arithmetic proves the exact gate would drop it: its squared distance
+# exceeds range**2 by a relative margin, or its direction lies outside the
+# field of view widened by _CONE_MARGIN radians, which moves the cosine
+# bound by at least _CONE_MARGIN**2 / 2, far above the 1e-15 rounding of
+# either test. A squared distance outside (_TINY_D2, _HUGE_D2) may have
+# under- or overflowed, so such an object skips no cone test, and the range
+# bound adds _TINY_D2 for a range whose square underflows.
+_RANGE_MARGIN = 1e-9
+_CONE_MARGIN = 1e-6
+_TINY_D2 = 1e-200
+_HUGE_D2 = 1e300
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Field of view, range and noise model of the mock detector."""
@@ -321,12 +335,29 @@ def detect_objects(
     isotropic Gaussian noise; the confidence value is synthetic (the
     passing draw mapped onto [0.5, 1.0]), not a physical detector score.
     """
+    # The pre-gate keeps every object the exact gate keeps, in world order,
+    # so the rng draws are exactly those of the exact gate alone.
+    half_fov = params.fov / 2
+    max_d2 = params.range_m * params.range_m * (1.0 + _RANGE_MARGIN) + _TINY_D2
+    if half_fov + _CONE_MARGIN < math.pi:
+        min_cos = math.cos(half_fov + _CONE_MARGIN)
+    else:
+        min_cos = -math.inf  # the cone holds every direction: the test below never skips
+    ox, oz = drone_world.position.x, drone_world.position.z
+    fx, fz = math.cos(drone_world.yaw), math.sin(drone_world.yaw)
     detections: list[DetectionMsg] = []
     for obj in world:
+        dx = obj.position.x - ox
+        dz = obj.position.z - oz
+        d2 = dx * dx + dz * dz
+        if d2 > max_d2:
+            continue
+        if _TINY_D2 < d2 < _HUGE_D2 and dx * fx + dz * fz < min_cos * math.sqrt(d2):
+            continue
         distance, azimuth = relative_polar(drone_world, obj.position)
         if distance > params.range_m:
             continue
-        if abs(azimuth) > params.fov / 2:
+        if abs(azimuth) > half_fov:
             continue
         if params.p_detect <= 0.0:
             continue

@@ -94,6 +94,7 @@ class CueEngine:
         self.publish = publish
         self.human_start = human_start
         self.cue_count = 0
+        self.dedup_count = 0  # cues withheld because their object was cued within DEDUP_WINDOW
         self.protocol_error_count = 0
         self._human: Pose | None = None
         self._last_emit: dict[str, float] = {}
@@ -129,6 +130,7 @@ class CueEngine:
                 return
             last = self._last_emit.get(detection.object_id)
             if last is not None and detection.timestamp - last < DEDUP_WINDOW - 1e-9:
+                self.dedup_count += 1
                 return
             self._last_emit[detection.object_id] = detection.timestamp
             self.cue_count += 1

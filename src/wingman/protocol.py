@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 from wingman.geometry import FrameId, Pose, Vec3, wrap_azimuth
 
@@ -73,12 +73,17 @@ def _dumps(value) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return encode_basestring(value)  # as json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_dumps(v)}" for k, v in value.items()) + "}"
+        return "{" + ",".join(f"{_dumps_key(k)}:{_dumps(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_dumps(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _dumps_key(key) -> str:
+    """An object key as json.dumps(key) writes it: str keys ASCII-escaped."""
+    return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps(key)
 
 
 @dataclass(frozen=True)

@@ -50,29 +50,54 @@ class Connection(Protocol):
     def close(self) -> None: ...
 
 
+# Distinct topics whose fan-out lists BrokerState keeps; a peer that
+# publishes to more topics than this only empties the cache.
+ROUTE_CACHE_TOPICS = 256
+
+
 @dataclass
 class BrokerState:
-    """Connected client ids and their subscription filters.
+    """Connected client ids, their subscription filters and cached routes.
 
     ``sessions`` is insertion-ordered (dict keyed by client id) so that
     fan-out order is deterministic. Duplicate filters per client collapse.
+    Each topic's targets are matched once and cached until the sessions or
+    subscriptions change.
     """
 
     sessions: dict[str, None] = field(default_factory=dict)
     subscriptions: dict[str, set[str]] = field(default_factory=dict)
+    _routes: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
 
     def add_session(self, client_id: str) -> None:
         self.sessions[client_id] = None
+        self._routes.clear()
 
     def remove_session(self, client_id: str) -> None:
         self.sessions.pop(client_id, None)
         self.subscriptions.pop(client_id, None)
+        self._routes.clear()
 
     def add_subscription(self, client_id: str, filter_: str) -> None:
         if client_id not in self.sessions:
             raise SessionError(f"unknown client {client_id!r}")
         validate_filter(filter_)
         self.subscriptions.setdefault(client_id, set()).add(filter_)
+        self._routes.clear()
+
+    def targets(self, topic: str) -> list[str]:
+        """Client ids subscribed to ``topic``, in session order."""
+        targets = self._routes.get(topic)
+        if targets is None:
+            if len(self._routes) >= ROUTE_CACHE_TOPICS:
+                self._routes.clear()
+            targets = [
+                client_id
+                for client_id in self.sessions
+                if any(topic_matches(f, topic) for f in self.subscriptions.get(client_id, ()))
+            ]
+            self._routes[topic] = targets
+        return targets
 
 
 def broker_dispatch(state: BrokerState, from_id: str, publish: Publish) -> list[tuple[str, Publish]]:
@@ -83,12 +108,7 @@ def broker_dispatch(state: BrokerState, from_id: str, publish: Publish) -> list[
     """
     if from_id not in state.sessions:
         raise SessionError(f"unknown client {from_id!r}")
-    deliveries: list[tuple[str, Publish]] = []
-    for client_id in state.sessions:
-        filters = state.subscriptions.get(client_id)
-        if filters and any(topic_matches(f, publish.topic) for f in filters):
-            deliveries.append((client_id, publish))
-    return deliveries
+    return [(client_id, publish) for client_id in state.targets(publish.topic)]
 
 
 class Broker:
@@ -204,15 +224,20 @@ class _TcpConnection:
 
 
 class TcpBrokerServer:
-    """Stream-socket front-end for a :class:`Broker`."""
+    """Stream-socket front-end for a :class:`Broker`.
+
+    Each connection has a reader thread; a connection and its thread are
+    tracked in ``_conns`` until the reader loop ends.
+    """
 
     def __init__(self, broker: Broker, host: str = "127.0.0.1", port: int = DEFAULT_PORT) -> None:
         self.broker = broker
         self.host = host
         self.port = port
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._conns: list[_TcpConnection] = []
+        self._accept_thread: threading.Thread | None = None
+        self._conns: dict[_TcpConnection, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
         self._running = False
 
     def start(self) -> None:
@@ -224,9 +249,10 @@ class TcpBrokerServer:
         self.port = listener.getsockname()[1]
         self._listener = listener
         self._running = True
-        accept_thread = threading.Thread(target=self._accept_loop, daemon=True, name="broker-accept")
-        accept_thread.start()
-        self._threads.append(accept_thread)
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, daemon=True, name="broker-accept"
+        )
+        self._accept_thread.start()
 
     def stop(self) -> None:
         self._running = False
@@ -237,9 +263,13 @@ class TcpBrokerServer:
             except OSError:
                 pass
             self._listener.close()
-        for conn in self._conns:
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=2.0)
+        with self._conns_lock:
+            conns = dict(self._conns)
+        for conn in conns:
             conn.close()  # unblocks the reader threads
-        for thread in self._threads:
+        for thread in conns.values():
             thread.join(timeout=2.0)
 
     def _accept_loop(self) -> None:
@@ -251,12 +281,12 @@ class TcpBrokerServer:
                 return
             conn = _TcpConnection(sock)
             self.broker.register_connection(conn)
-            self._conns.append(conn)
             thread = threading.Thread(
                 target=self._recv_loop, args=(sock, conn), daemon=True, name="broker-conn"
             )
+            with self._conns_lock:  # tracked before it starts, so its own removal finds it
+                self._conns[conn] = thread
             thread.start()
-            self._threads.append(thread)
 
     def _recv_loop(self, sock: socket.socket, conn: _TcpConnection) -> None:
         while True:
@@ -267,5 +297,7 @@ class TcpBrokerServer:
             if not data:
                 self.broker.connection_lost(conn)
                 conn.close()
+                with self._conns_lock:
+                    self._conns.pop(conn, None)
                 return
             self.broker.data_received(conn, data)

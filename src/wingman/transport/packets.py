@@ -92,7 +92,8 @@ class Publish:
             raise PacketError("payload: must be bytes")
         if len(self.payload) > MAX_PAYLOAD:
             raise PacketError(f"payload: {len(self.payload)} bytes exceeds cap {MAX_PAYLOAD}")
-        object.__setattr__(self, "payload", bytes(self.payload))
+        if type(self.payload) is not bytes:
+            object.__setattr__(self, "payload", bytes(self.payload))
 
 
 @dataclass(frozen=True)
@@ -290,39 +291,44 @@ def decode_packet(buf: bytes) -> tuple[Packet, int] | None:
     the buffer does not yet hold a complete packet. Raises ProtocolError
     on malformed data.
     """
-    if not buf:
+    return _decode_at(buf, 0)
+
+
+def _decode_at(buf: bytes | bytearray, start: int) -> tuple[Packet, int] | None:
+    """Decode the packet at ``buf[start:]``: (packet, offset just past it) or None."""
+    if start >= len(buf):
         return None
-    ptype = buf[0] >> 4
-    flags = buf[0] & 0x0F
+    ptype = buf[start] >> 4
+    flags = buf[start] & 0x0F
     if ptype in (0, 15):
         raise ProtocolError(f"reserved packet type {ptype}")
-    decoded = decode_remaining_length(buf, 1)
+    decoded = decode_remaining_length(buf, start + 1)
     if decoded is None:
         return None
     remaining, rl_len = decoded
     if remaining > _MAX_FRAME:
         raise ProtocolError(f"frame of {remaining} bytes exceeds cap")
-    total = 1 + rl_len + remaining
-    if len(buf) < total:
+    end = start + 1 + rl_len + remaining
+    if len(buf) < end:
         return None
-    body = bytes(buf[1 + rl_len : total])
+    body = bytes(buf[start + 1 + rl_len : end])
     try:  # a decoded field that breaks a packet invariant is bad wire data
         if ptype == _TYPE_CONNECT:
-            return _decode_connect(flags, body), total
+            return _decode_connect(flags, body), end
         if ptype == _TYPE_CONNACK:
-            return _decode_connack(flags, body), total
+            return _decode_connack(flags, body), end
         if ptype == _TYPE_PUBLISH:
-            return _decode_publish(flags, body), total
+            return _decode_publish(flags, body), end
         if ptype == _TYPE_SUBSCRIBE:
-            return _decode_subscribe(flags, body), total
+            return _decode_subscribe(flags, body), end
         if ptype == _TYPE_SUBACK:
-            return _decode_suback(flags, body), total
+            return _decode_suback(flags, body), end
         if ptype == _TYPE_PINGREQ:
-            return _decode_empty(flags, body, PingReq(), "PINGREQ"), total
+            return _decode_empty(flags, body, PingReq(), "PINGREQ"), end
         if ptype == _TYPE_PINGRESP:
-            return _decode_empty(flags, body, PingResp(), "PINGRESP"), total
+            return _decode_empty(flags, body, PingResp(), "PINGRESP"), end
         if ptype == _TYPE_DISCONNECT:
-            return _decode_empty(flags, body, Disconnect(), "DISCONNECT"), total
+            return _decode_empty(flags, body, Disconnect(), "DISCONNECT"), end
     except PacketError as exc:
         raise ProtocolError(str(exc)) from exc
     raise ProtocolError(f"unsupported packet type {ptype}")
@@ -330,20 +336,32 @@ def decode_packet(buf: bytes) -> tuple[Packet, int] | None:
 
 @dataclass
 class PacketDecoder:
-    """Incremental stream decoder; tolerant of arbitrary byte splits."""
+    """Incremental stream decoder; tolerant of arbitrary byte splits.
+
+    Packets are decoded in place from the bytes passed in, or from the
+    pending buffer when an earlier chunk left a partial packet; the
+    consumed prefix is dropped once per call.
+    """
 
     _buffer: bytearray = field(default_factory=bytearray)
 
     def feed(self, data: bytes) -> list[Packet]:
-        self._buffer.extend(data)
+        buf = data
+        if self._buffer:
+            self._buffer.extend(data)
+            buf = self._buffer
         packets: list[Packet] = []
-        while True:
-            result = decode_packet(bytes(self._buffer))
-            if result is None:
-                return packets
-            packet, consumed = result
-            del self._buffer[:consumed]
-            packets.append(packet)
+        offset = 0
+        try:
+            while offset < len(buf) and (result := _decode_at(buf, offset)) is not None:
+                packet, offset = result
+                packets.append(packet)
+        finally:  # after a ProtocolError too: the malformed packet's bytes stay pending
+            if buf is self._buffer:
+                del buf[:offset]
+            elif offset < len(buf):
+                self._buffer.extend(memoryview(buf)[offset:])
+        return packets
 
     def pending_bytes(self) -> int:
         return len(self._buffer)

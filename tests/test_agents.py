@@ -19,8 +19,8 @@ from wingman.agents import (
     load_world_csv,
     world_to_drone_frame,
 )
-from wingman.geometry import FrameId, Pose, Vec3, relative_polar
-from wingman.protocol import CommandMsg, encode_message
+from wingman.geometry import FrameId, Pose, Vec3, relative_polar, rotate_y
+from wingman.protocol import CommandMsg, DetectionMsg, encode_message
 
 
 def vec_approx(v: Vec3, expected: tuple[float, float, float], abs_tol=1e-12):
@@ -281,3 +281,94 @@ def test_world_csv(tmp_path):
     path.write_text("id,label,x,y,z\ncrate,box,0,0\n")
     with pytest.raises(ValueError, match="fields"):
         load_world_csv(path)
+
+
+def reference_detect_objects(drone_world, world, params, rng):
+    """The detector without its pre-gate: the exact gate on every object."""
+    detections = []
+    for obj in world:
+        distance, azimuth = relative_polar(drone_world, obj.position)
+        if distance > params.range_m:
+            continue
+        if abs(azimuth) > params.fov / 2:
+            continue
+        if params.p_detect <= 0.0:
+            continue
+        draw = rng.random()
+        if draw >= params.p_detect:
+            continue
+        position = obj.position
+        if params.pos_noise_sigma > 0.0:
+            position = Vec3(
+                position.x + rng.gauss(0.0, params.pos_noise_sigma),
+                position.y + rng.gauss(0.0, params.pos_noise_sigma),
+                position.z + rng.gauss(0.0, params.pos_noise_sigma),
+            )
+        confidence = 0.5 + 0.5 * (draw / params.p_detect)
+        detections.append(
+            DetectionMsg(obj.object_id, obj.label, position, confidence, drone_world.timestamp)
+        )
+    return detections
+
+
+def boundary_world(drone: Pose, params: DetectorParams, rng: random.Random) -> list[WorldObject]:
+    """Objects on, just inside and just outside the range and FOV edges."""
+    half = params.fov / 2
+    points = [drone.position, drone.position + Vec3(0.0, 5.0, 0.0)]  # coincident
+    for angle in (0.0, half, -half, math.pi, rng.uniform(-math.pi, math.pi)):
+        for scale in (1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.5, 1.5, rng.random()):
+            for nudge in (0.0, 1e-15, -1e-15, 1e-9, -1e-9):
+                offset = rotate_y(Vec3(params.range_m * scale, 0.0, 0.0), drone.yaw + angle + nudge)
+                points.append(drone.position + offset)
+    return [WorldObject(f"o{i}", "x", p) for i, p in enumerate(points)]
+
+
+@pytest.mark.parametrize("p_detect, sigma", [(0.7, 0.05), (1.0, 0.0), (0.0, 0.0)])
+def test_detector_pre_gate_matches_the_exact_gate(p_detect, sigma):
+    rng = random.Random(47)
+    fovs = (1e-9, 0.3, math.pi / 2, 1.9, math.pi - 1e-7, math.pi, 4.0, 2 * math.pi - 1e-6, 2 * math.pi)
+    cases = []
+    for origin, ranges in (
+        (Vec3(0.0, 0.0, 0.0), (1e-3, 3.0, 4.0)),
+        (Vec3(1.5, 0.5, -2.0), (4.0, 1e3)),
+        (Vec3(1e-300, 0.0, -3e-300), (1e-170, 1e-160, 1e-140, 1e-100)),  # squares underflow
+        (Vec3(2e149, 0.0, -1e149), (1e148, 1e154, 1e160)),  # squares overflow
+    ):
+        for range_m in ranges:
+            for fov in fovs:
+                params = DetectorParams(fov=fov, range_m=range_m, p_detect=p_detect, pos_noise_sigma=sigma)
+                for yaw in (0.0, math.pi / 2, -math.pi, rng.uniform(-math.pi, math.pi)):
+                    cases.append((Pose(origin, yaw, FrameId.WORLD, 2.0), params))
+    for drone, params in cases:
+        world = boundary_world(drone, params, rng)
+        seed = rng.random()
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = detect_objects(drone, world, params, got_rng)
+        assert got == reference_detect_objects(drone, world, params, want_rng), (drone, params)
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_detector_pre_gate_matches_the_exact_gate_on_random_scenes():
+    rng = random.Random(53)
+    for trial in range(300):
+        params = DetectorParams(
+            fov=rng.uniform(0.05, 2 * math.pi),
+            range_m=rng.uniform(0.5, 6.0),
+            p_detect=0.8,
+            pos_noise_sigma=0.02,
+        )
+        drone = Pose(
+            Vec3(rng.uniform(-2, 2), 0.5, rng.uniform(-2, 2)),
+            rng.uniform(-math.pi, math.pi),
+            FrameId.WORLD,
+            trial * 0.1,
+        )
+        world = [
+            WorldObject(f"o{i}", "x", Vec3(rng.uniform(-8, 8), 0, rng.uniform(-8, 8)))
+            for i in range(60)
+        ]
+        got_rng, want_rng = random.Random(trial), random.Random(trial)
+        assert detect_objects(drone, world, params, got_rng) == reference_detect_objects(
+            drone, world, params, want_rng
+        )
+        assert got_rng.getstate() == want_rng.getstate()

@@ -149,6 +149,17 @@ def test_engine_dedup_window():
     assert len(bus.cues) == 3
 
 
+def test_engine_counts_deduplicated_cues():
+    bus = CueBus()
+    engine = CueEngine(AttentionModel(), publish=bus.publish)
+    engine.on_message(TOPIC_POSE, pose_payload(0.0))
+    payload = encode_message(detection(1, 0, t=0.2))
+    engine.on_message(TOPIC_DETECTIONS, payload)
+    engine.on_message(TOPIC_DETECTIONS, payload)
+    assert (engine.cue_count, engine.dedup_count) == (1, 1)
+    assert len(bus.cues) == 1
+
+
 def test_engine_applies_human_start_offset():
     bus = CueBus()
     engine = CueEngine(

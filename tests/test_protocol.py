@@ -23,6 +23,7 @@ from wingman.protocol import (
     PoseMsg,
     RoutingError,
     ValidationError,
+    canonical_json,
     decode_message,
     encode_message,
     format_float,
@@ -285,3 +286,21 @@ def test_components_count_payloads_they_reject():
     for component, topic in ((drone, TOPIC_CMD), (cues, TOPIC_DETECTIONS), (follower, TOPIC_POSE)):
         component.on_message(topic, b'{"v":1,"kind":')
         assert component.protocol_error_count == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['say "hi"', "back\\slash", "ctl\x00\x01\x1f\t\n\r\x7f", "line\u2028sep\u2029", "héllo 中文 🚁", ""],
+)
+def test_canonical_json_strings_match_json_dumps(text):
+    assert canonical_json(text) == json.dumps(text, ensure_ascii=False)
+    assert canonical_json({text: text}) == (
+        "{" + json.dumps(text) + ":" + json.dumps(text, ensure_ascii=False) + "}"
+    )
+    assert canonical_json([text, {"k": [text]}]) == json.dumps(
+        [text, {"k": [text]}], ensure_ascii=False, separators=(",", ":")
+    )
+
+
+def test_canonical_json_non_str_keys_keep_their_rendering():
+    assert canonical_json({1: "a", 2.5: True, None: 0, False: []}) == '{1:"a",2.5:true,null:0,false:[]}'

@@ -1,3 +1,4 @@
+import random
 import threading
 import time
 
@@ -15,6 +16,8 @@ from wingman.transport import (
     TcpBrokerServer,
     broker_dispatch,
 )
+from wingman.transport.broker import ROUTE_CACHE_TOPICS
+from wingman.transport.packets import topic_matches
 
 
 def make_state(subs: dict[str, set[str]]) -> BrokerState:
@@ -47,6 +50,89 @@ def test_dispatch_unknown_client_is_session_error():
     state = make_state({"a": set()})
     with pytest.raises(SessionError):
         broker_dispatch(state, "ghost", Publish("tagteam/pose", b"x"))
+
+
+def reference_targets(state: BrokerState, topic: str) -> list[str]:
+    """Fan-out without the route cache: every filter of every session."""
+    return [
+        client_id
+        for client_id in state.sessions
+        if any(topic_matches(f, topic) for f in state.subscriptions.get(client_id, ()))
+    ]
+
+
+def targets(state: BrokerState, topic: str) -> list[str]:
+    sender = next(iter(state.sessions))
+    return [client for client, _ in broker_dispatch(state, sender, Publish(topic, b"x"))]
+
+
+def test_route_cache_follows_subscribe_and_removal():
+    state = make_state({"a": {"t/+"}, "b": set(), "c": {"u"}})
+    assert targets(state, "t/x") == ["a"]
+    state.add_subscription("b", "t/x")  # after the first publish on t/x
+    assert targets(state, "t/x") == ["a", "b"]
+    state.add_subscription("c", "#")
+    assert targets(state, "t/x") == ["a", "b", "c"]
+    state.remove_session("a")
+    assert targets(state, "t/x") == ["b", "c"]
+    state.add_session("a")  # back with no filters, now last in fan-out order
+    state.add_subscription("a", "t/x")
+    assert targets(state, "t/x") == ["b", "c", "a"]
+
+
+def test_route_cache_matches_uncached_dispatch_under_random_changes():
+    rng = random.Random(5)
+    topics = ["tagteam/pose", "tagteam/cmd", "a/b", "a/b/c", "x"]
+    filters = ["#", "tagteam/#", "tagteam/+", "tagteam/pose", "a/+", "a/+/c", "+/b/#", "x"]
+    state = BrokerState()
+    state.add_session("c0")
+    for step in range(2000):
+        roll = rng.random()
+        client_id = f"c{rng.randrange(6)}"
+        if roll < 0.1:
+            state.add_session(client_id)
+        elif roll < 0.15 and len(state.sessions) > 1:
+            state.remove_session(client_id)
+        elif roll < 0.3 and client_id in state.sessions:
+            state.add_subscription(client_id, rng.choice(filters))
+        else:
+            topic = rng.choice(topics)
+            assert targets(state, topic) == reference_targets(state, topic), step
+
+
+def test_route_cache_size_is_capped():
+    state = make_state({"a": {"t/+"}, "b": {"#"}})
+    for i in range(ROUTE_CACHE_TOPICS * 3):
+        assert targets(state, f"t/{i}") == ["a", "b"]
+        assert targets(state, f"u/{i}") == ["b"]
+        assert len(state._routes) <= ROUTE_CACHE_TOPICS
+
+
+def test_session_takeover_resets_its_routes():
+    broker = Broker()
+    order = []
+
+    def client(client_id):
+        c = MqttClient(
+            MemoryTransport(broker), client_id, on_message=lambda t, p: order.append(client_id)
+        )
+        c.connect()
+        return c
+
+    first = client("dup")
+    first.subscribe("t")
+    other = client("other")
+    other.subscribe("t")
+    other.publish("t", b"1")
+    assert order == ["dup", "other"]
+    order.clear()
+    second = client("dup")  # takes the session over, with no subscriptions yet
+    other.publish("t", b"2")
+    assert order == ["other"]
+    order.clear()
+    second.subscribe("t")
+    other.publish("t", b"3")
+    assert order == ["other", "dup"]
 
 
 def test_subscription_requires_session():
@@ -164,6 +250,21 @@ def test_tcp_stop_is_prompt_and_leaves_no_broker_threads():
     left = [t.name for t in set(threading.enumerate()) - before if t.name.startswith("broker-")]
     assert elapsed < 0.5
     assert left == []
+
+
+def test_tcp_server_forgets_closed_connections():
+    broker = Broker()
+    server = TcpBrokerServer(broker, "127.0.0.1", 0)
+    server.start()
+    try:
+        for i in range(50):
+            client = MqttClient(SocketTransport("127.0.0.1", server.port), f"c{i}")
+            client.connect()
+            client.disconnect()
+        assert wait_until(lambda: len(server._conns) <= 1)
+        assert wait_until(lambda: broker.session_count() == 0)
+    finally:
+        server.stop()
 
 
 def test_tcp_concurrent_publishers_preserve_per_publisher_order():

@@ -197,3 +197,34 @@ def test_chunked_stream_reframing_equivalence():
             i += step
         assert out == packets
         assert decoder.pending_bytes() == 0
+
+
+def test_malformed_packet_after_valid_ones_is_protocol_error():
+    valid = b"".join(encode_packet(Publish("t", bytes([i]))) for i in range(3))
+    malformed = bytes([0x32, 0x00])  # PUBLISH at QoS 1
+    with pytest.raises(ProtocolError):
+        PacketDecoder().feed(valid + malformed)
+
+    decoder = PacketDecoder()
+    assert decoder.feed(valid + malformed[:1]) == [Publish("t", bytes([i])) for i in range(3)]
+    assert decoder.pending_bytes() == 1
+    with pytest.raises(ProtocolError):
+        decoder.feed(malformed[1:])
+    assert decoder.pending_bytes() == len(malformed)  # the bad packet stays, so it fails again
+    with pytest.raises(ProtocolError):
+        decoder.feed(b"")
+
+
+def test_one_large_chunk_decodes_every_packet():
+    rng = random.Random(7)
+    packets = [Publish(f"t/{i % 4}", rng.randbytes(rng.randint(0, 40))) for i in range(10_000)]
+    stream = b"".join(encode_packet(p) for p in packets)
+    decoder = PacketDecoder()
+    assert decoder.feed(stream) == packets
+    assert decoder.pending_bytes() == 0
+
+    # a partial tail stays pending until the rest arrives
+    assert decoder.feed(stream[:-3]) == packets[:-1]
+    assert decoder.pending_bytes() == len(encode_packet(packets[-1])) - 3
+    assert decoder.feed(stream[-3:]) == packets[-1:]
+    assert decoder.pending_bytes() == 0
