@@ -255,11 +255,18 @@ class _Message(_Object):
         self.head = f'{{"v":{MESSAGE_VERSION},' + (f'"kind":{json.dumps(kind)},' if kind else "")
 
 
+def render_float(value) -> str:
+    """``_dumps(value)`` for a float field, without its type walk for a plain float."""
+    return format(value, ".9g") if type(value) is float else _dumps(value)
+
+
 def _renderer(kind):
     if isinstance(kind, _Object):
         return kind.encode
     if isinstance(kind, list):
         return lambda entries: "[" + ",".join(map(kind[0].encode, entries)) + "]"
+    if kind is float:
+        return render_float
     # encode_basestring writes a str exactly as json.dumps(s, ensure_ascii=False) does
     return encode_basestring if kind is str else _dumps
 

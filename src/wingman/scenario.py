@@ -23,6 +23,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from wingman.agents import (
@@ -51,6 +52,7 @@ from wingman.protocol import (
     canonical_json,
     encode_message,
     format_float,
+    render_float,
 )
 from wingman.transport import Broker, MemoryTransport, MqttClient, SocketTransport, TcpBrokerServer
 from wingman.transport.broker import DEFAULT_PORT
@@ -312,10 +314,14 @@ def write_report_json(report: SyncReport, path: str | Path) -> None:
 
 
 def write_messages_jsonl(trace: RunTrace, path: str | Path) -> None:
+    """One line per message, as canonical_json({"t": t, "topic": topic, "payload": text})."""
+    heads: dict[str, str] = {}  # each topic escaped once
     lines = []
     for t, topic, payload in trace.messages:
-        doc = {"t": t, "topic": topic, "payload": payload.decode("utf-8")}
-        lines.append(canonical_json(doc))
+        head = heads.get(topic)
+        if head is None:
+            head = heads[topic] = f',"topic":{encode_basestring(topic)},"payload":'
+        lines.append('{"t":' + render_float(t) + head + encode_basestring(payload.decode("utf-8")) + "}")
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -7,7 +7,9 @@ the in-process loopback lives in :mod:`wingman.transport.client`.
 
 A protocol violation terminates the offending session only; the broker
 survives. Dispatch for a single publish is atomic with respect to
-subscription changes.
+subscription changes. A PUBLISH reaches its subscribers as the frame it
+arrived in, byte for byte; only a frame with a non-minimal remaining
+length is re-encoded, so subscribers always get canonical frames.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ class Broker:
         elif isinstance(packet, Publish):
             if self.on_publish is not None:
                 self.on_publish(packet.topic, packet.payload)
-            data = encode_packet(packet)
+            data = packet.frame if packet.frame is not None else encode_packet(packet)
             for target_id, _ in broker_dispatch(self.state, client_id, packet):
                 target = self._connections.get(target_id)
                 if target is not None:
@@ -243,9 +245,13 @@ class TcpBrokerServer:
     def start(self) -> None:
         """Bind and start accepting; raises OSError if the bind fails."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(16)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.host, self.port))
+            listener.listen(16)
+        except OSError:
+            listener.close()
+            raise
         self.port = listener.getsockname()[1]
         self._listener = listener
         self._running = True

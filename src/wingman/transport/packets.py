@@ -8,11 +8,17 @@ Wire layout per packet: fixed header (type in the high nibble, flags in
 the low nibble), remaining length as a 1-4 byte 7-bit little-endian
 varint, then the variable header and payload. Strings are big-endian
 uint16 length-prefixed UTF-8.
+
+A PUBLISH is framed once per hop: each distinct topic is validated and
+its wire prefix encoded once (a bounded cache shared by construction,
+encoding and decoding), and a decoded PUBLISH keeps its frame when that
+frame is canonical, so a broker can forward it byte for byte.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass, field
 
 MAX_PAYLOAD = 256 * 1024  # artifact cap, bytes
@@ -28,6 +34,15 @@ _TYPE_SUBACK = 9
 _TYPE_PINGREQ = 12
 _TYPE_PINGRESP = 13
 _TYPE_DISCONNECT = 14
+
+# Distinct topics whose validated wire prefix (uint16 length + UTF-8) is
+# cached; a peer that publishes to more topics than this only empties it.
+# Lookups take no lock: every entry is a correct pair on its own.
+TOPIC_CACHE_TOPICS = 256
+_TOPIC_PREFIX: dict[str, bytes] = {}
+_PREFIX_TOPIC: dict[bytes, str] = {}  # the same entries, keyed by prefix
+_TOPIC_CACHE_LOCK = threading.Lock()
+_PUBLISH_HEADER = bytes([_TYPE_PUBLISH << 4])
 
 
 class PacketError(ValueError):
@@ -47,6 +62,21 @@ def validate_topic(topic: str) -> None:
         raise PacketError("topic: NUL not allowed")
     if len(topic.encode("utf-8")) > 65_535:
         raise PacketError("topic: longer than 65535 bytes")
+
+
+def _topic_prefix(topic: str) -> bytes:
+    """The wire prefix of a valid topic; PacketError if it is not valid."""
+    prefix = _TOPIC_PREFIX.get(topic) if type(topic) is str else None
+    if prefix is None:
+        validate_topic(topic)
+        prefix = _encode_string(topic)
+        with _TOPIC_CACHE_LOCK:
+            if len(_TOPIC_PREFIX) >= TOPIC_CACHE_TOPICS:
+                _TOPIC_PREFIX.clear()
+                _PREFIX_TOPIC.clear()
+            _TOPIC_PREFIX[topic] = prefix
+            _PREFIX_TOPIC[prefix] = topic
+    return prefix
 
 
 def validate_filter(filter_: str) -> None:
@@ -85,9 +115,11 @@ class ConnAck:
 class Publish:
     topic: str
     payload: bytes = b""
+    # the canonical frame this packet was decoded from; not part of its value
+    frame: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        validate_topic(self.topic)
+        _topic_prefix(self.topic)  # validates a topic once and caches its prefix
         if not isinstance(self.payload, (bytes, bytearray)):
             raise PacketError("payload: must be bytes")
         if len(self.payload) > MAX_PAYLOAD:
@@ -184,6 +216,10 @@ def _read_string(body: bytes, offset: int, what: str) -> tuple[str, int]:
 
 def encode_packet(packet: Packet) -> bytes:
     """Serialize a packet; inverse of :func:`decode_packet`."""
+    if isinstance(packet, Publish):  # QoS 0, no DUP, no RETAIN
+        prefix = _topic_prefix(packet.topic)
+        size = encode_remaining_length(len(prefix) + len(packet.payload))
+        return _PUBLISH_HEADER + size + prefix + packet.payload
     if isinstance(packet, Connect):
         # protocol name, level 4, connect flags (clean session), keepalive 0
         var = _encode_string("MQTT") + bytes([0x04, 0x02, 0x00, 0x00])
@@ -192,9 +228,6 @@ def encode_packet(packet: Packet) -> bytes:
     elif isinstance(packet, ConnAck):
         body = bytes([0x00, 0x00])  # session present 0, return code 0
         head = bytes([_TYPE_CONNACK << 4])
-    elif isinstance(packet, Publish):
-        body = _encode_string(packet.topic) + packet.payload
-        head = bytes([_TYPE_PUBLISH << 4])  # QoS 0, no DUP, no RETAIN
     elif isinstance(packet, Subscribe):
         body = struct.pack(">H", packet.packet_id) + _encode_string(packet.filter) + b"\x00"
         head = bytes([(_TYPE_SUBSCRIBE << 4) | 0x02])
@@ -234,13 +267,29 @@ def _decode_connect(flags: int, body: bytes) -> Connect:
     return Connect(client_id)
 
 
-def _decode_publish(flags: int, body: bytes) -> Publish:
+def _decode_publish(flags: int, frame: bytes, body_at: int) -> Publish:
+    """The PUBLISH in ``frame``, whose body starts at ``body_at``.
+
+    A cached topic is looked up by its wire prefix, so it is neither
+    decoded nor validated again. The packet keeps ``frame`` when its
+    remaining length is in the shortest form, the only one encode_packet
+    writes.
+    """
     if flags & 0x06:
         raise ProtocolError("PUBLISH: QoS above 0 is not supported")
     if flags != 0:
         raise ProtocolError("PUBLISH: DUP/RETAIN are not supported")
-    topic, offset = _read_string(body, 0, "PUBLISH topic")
-    return Publish(topic, body[offset:])
+    topic_end = body_at + 2
+    if topic_end > len(frame):
+        raise ProtocolError("PUBLISH topic: truncated length prefix")
+    topic_end += (frame[body_at] << 8) | frame[body_at + 1]
+    topic = _PREFIX_TOPIC.get(frame[body_at:topic_end])
+    if topic is None:
+        topic, topic_end = _read_string(frame, body_at, "PUBLISH topic")
+    packet = Publish(topic, frame[topic_end:])
+    if body_at == 2 or frame[body_at - 1]:  # no zero high byte: the varint is minimal
+        object.__setattr__(packet, "frame", frame)
+    return packet
 
 
 def _decode_subscribe(flags: int, body: bytes) -> Subscribe:
@@ -311,14 +360,14 @@ def _decode_at(buf: bytes | bytearray, start: int) -> tuple[Packet, int] | None:
     end = start + 1 + rl_len + remaining
     if len(buf) < end:
         return None
-    body = bytes(buf[start + 1 + rl_len : end])
     try:  # a decoded field that breaks a packet invariant is bad wire data
+        if ptype == _TYPE_PUBLISH:
+            return _decode_publish(flags, bytes(buf[start:end]), 1 + rl_len), end
+        body = bytes(buf[start + 1 + rl_len : end])
         if ptype == _TYPE_CONNECT:
             return _decode_connect(flags, body), end
         if ptype == _TYPE_CONNACK:
             return _decode_connack(flags, body), end
-        if ptype == _TYPE_PUBLISH:
-            return _decode_publish(flags, body), end
         if ptype == _TYPE_SUBSCRIBE:
             return _decode_subscribe(flags, body), end
         if ptype == _TYPE_SUBACK:

@@ -4,6 +4,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import random_wire_vec3
@@ -27,6 +28,7 @@ from wingman.protocol import (
     decode_message,
     encode_message,
     format_float,
+    render_float,
     wire_float,
 )
 
@@ -116,6 +118,17 @@ def test_canonical_bytes_golden_sample():
         b'{"frame":"wearable","x":1.5,"y":0,"z":-2.25,"yaw":0.5,"timestamp":1.5}}'
     )
     assert encode_message(msg) == expected
+
+
+def test_float_fields_render_as_the_generic_dumper_does():
+    class Half(float):
+        def __format__(self, spec):
+            return "half"
+
+    values = [0.0, -0.0, 1 / 3, 1e-300, 1.5e300, 12345678901.5, 7, 10**12, True, False, Half(0.5)]
+    values.append(np.float64(2 / 3))
+    for value in values:
+        assert render_float(value) == canonical_json(value), value
 
 
 def test_float_formatting_is_nine_significant_digits():

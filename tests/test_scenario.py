@@ -6,14 +6,16 @@ import pytest
 
 from wingman.agents import world_to_drone_frame
 from wingman.geometry import Vec3
-from wingman.protocol import TOPIC_CMD, TOPIC_CUES, TOPIC_DETECTIONS, TOPIC_POSE, decode_message
+from wingman.protocol import TOPIC_CMD, TOPIC_CUES, TOPIC_DETECTIONS, TOPIC_POSE, canonical_json, decode_message
 from wingman.scenario import (
     ConfigError,
+    RunTrace,
     ScenarioConfig,
     broker_port_default,
     config_from_dict,
     load_config,
     run_scenario,
+    write_messages_jsonl,
     write_trace_csv,
 )
 
@@ -223,6 +225,24 @@ def test_sample_config_artifacts_are_pinned(name, tmp_path):
         for artifact in SAMPLE_DIGESTS[name]
     }
     assert digests == SAMPLE_DIGESTS[name]
+
+
+def test_messages_jsonl_lines_are_canonical_json(tmp_path):
+    messages = [
+        (0.0, TOPIC_POSE, b'{"v":1}'),
+        (1 / 3, 'odd/"topic"/\u00e9\u4e2d', '{"label":"caf\u00e9 \\"q\\"\\n"}'.encode()),
+        (12345678901.5, TOPIC_POSE, "\u2028\x7f\U0001f600".encode()),
+        (7, TOPIC_CUES, b""),
+        (1e-300, 'odd/"topic"/\u00e9\u4e2d', b"{}"),
+    ]
+    path = tmp_path / "messages.jsonl"
+    write_messages_jsonl(RunTrace(messages=messages), path)
+    assert path.read_text() == "".join(
+        canonical_json({"t": t, "topic": topic, "payload": payload.decode("utf-8")}) + "\n"
+        for t, topic, payload in messages
+    )
+    write_messages_jsonl(RunTrace(), path)
+    assert path.read_text() == ""
 
 
 def test_trace_csv_format(tmp_path):

@@ -16,8 +16,18 @@ from wingman.transport import (
     TcpBrokerServer,
     broker_dispatch,
 )
+from wingman.transport import broker as broker_module
+from wingman.transport import packets
 from wingman.transport.broker import ROUTE_CACHE_TOPICS
-from wingman.transport.packets import topic_matches
+from wingman.transport.packets import (
+    TOPIC_CACHE_TOPICS,
+    Connect,
+    Subscribe,
+    decode_remaining_length,
+    encode_packet,
+    encode_remaining_length,
+    topic_matches,
+)
 
 
 def make_state(subs: dict[str, set[str]]) -> BrokerState:
@@ -106,6 +116,68 @@ def test_route_cache_size_is_capped():
         assert targets(state, f"t/{i}") == ["a", "b"]
         assert targets(state, f"u/{i}") == ["b"]
         assert len(state._routes) <= ROUTE_CACHE_TOPICS
+
+
+def test_topic_cache_size_is_capped():
+    broker = Broker()
+    received = []
+    sub = MqttClient(MemoryTransport(broker), "sub", on_message=lambda t, p: received.append(t))
+    sub.connect()
+    sub.subscribe("#")
+    pub = MqttClient(MemoryTransport(broker), "pub")
+    pub.connect()
+    topics = [f"load/{i}" for i in range(10_000)]
+    for topic in topics:
+        pub.publish(topic, b"x")
+        assert len(packets._TOPIC_PREFIX) <= TOPIC_CACHE_TOPICS
+        assert len(packets._PREFIX_TOPIC) <= TOPIC_CACHE_TOPICS
+    assert received == topics
+
+
+class RecordingConnection:
+    """A broker-side connection that keeps every frame the broker sends it."""
+
+    def __init__(self, broker: Broker, client_id: str) -> None:
+        self.frames: list[bytes] = []
+        broker.register_connection(self)
+        broker.data_received(self, encode_packet(Connect(client_id)))
+
+    def send(self, data: bytes) -> None:
+        self.frames.append(data)
+
+    def close(self) -> None:
+        pass
+
+
+def test_broker_forwards_canonical_frames_and_re_encodes_the_rest(monkeypatch):
+    encodes = []
+
+    def counting_encode(packet):
+        encodes.append(packet)
+        return encode_packet(packet)
+
+    broker = Broker()
+    sub = RecordingConnection(broker, "sub")
+    broker.data_received(sub, encode_packet(Subscribe(1, "t/#")))
+    pub = RecordingConnection(broker, "pub")
+    monkeypatch.setattr(broker_module, "encode_packet", counting_encode)
+    for size in (0, 100, 300, 20_000):  # 1-, 2- and 3-byte remaining lengths
+        canonical = encode_packet(Publish("t/a", bytes(size)))
+        sub.frames.clear()
+        broker.data_received(pub, canonical)
+        assert sub.frames == [canonical]
+        assert encodes == []  # forwarded as received
+
+        remaining, rl_len = decode_remaining_length(canonical, 1)
+        body = canonical[1 + rl_len :]
+        varint = bytearray(encode_remaining_length(remaining))
+        varint[-1] |= 0x80
+        non_canonical = canonical[:1] + bytes(varint) + b"\x00" + body  # one byte too long
+        sub.frames.clear()
+        broker.data_received(pub, non_canonical)
+        assert sub.frames == [canonical]
+        assert encodes == [Publish("t/a", bytes(size))]
+        encodes.clear()
 
 
 def test_session_takeover_resets_its_routes():
@@ -277,26 +349,29 @@ def test_tcp_concurrent_publishers_preserve_per_publisher_order():
             SocketTransport("127.0.0.1", server.port), "sub",
             on_message=lambda t, p: received.append(p),
         )
-        sub.connect()
-        sub.subscribe("tagteam/pose")
+        try:
+            sub.connect()
+            sub.subscribe("tagteam/pose")
 
-        def pump(name: str) -> None:
-            pub = MqttClient(SocketTransport("127.0.0.1", server.port), name)
-            pub.connect()
-            for i in range(200):
-                pub.publish("tagteam/pose", f"{name}:{i}".encode())
-            pub.disconnect()
+            def pump(name: str) -> None:
+                pub = MqttClient(SocketTransport("127.0.0.1", server.port), name)
+                pub.connect()
+                for i in range(200):
+                    pub.publish("tagteam/pose", f"{name}:{i}".encode())
+                pub.disconnect()
 
-        threads = [threading.Thread(target=pump, args=(f"p{k}",)) for k in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert wait_until(lambda: len(received) == 400)
-        assert len(set(received)) == 400  # no duplication
-        for name in ("p0", "p1"):
-            ordered = [m for m in received if m.startswith(f"{name}:".encode())]
-            assert ordered == [f"{name}:{i}".encode() for i in range(200)]
+            threads = [threading.Thread(target=pump, args=(f"p{k}",)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert wait_until(lambda: len(received) == 400)
+            assert len(set(received)) == 400  # no duplication
+            for name in ("p0", "p1"):
+                ordered = [m for m in received if m.startswith(f"{name}:".encode())]
+                assert ordered == [f"{name}:{i}".encode() for i in range(200)]
+        finally:
+            sub.disconnect()
     finally:
         server.stop()
 

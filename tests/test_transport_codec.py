@@ -1,4 +1,7 @@
 import random
+import struct
+import sys
+import threading
 
 import pytest
 
@@ -20,7 +23,14 @@ from wingman.transport import (
     encode_remaining_length,
     topic_matches,
 )
-from wingman.transport.packets import MAX_PAYLOAD, decode_remaining_length, validate_filter, validate_topic
+from wingman.transport import packets
+from wingman.transport.packets import (
+    _MAX_FRAME,
+    MAX_PAYLOAD,
+    decode_remaining_length,
+    validate_filter,
+    validate_topic,
+)
 
 
 def test_remaining_length_examples():
@@ -228,3 +238,152 @@ def test_one_large_chunk_decodes_every_packet():
     assert decoder.pending_bytes() == len(encode_packet(packets[-1])) - 3
     assert decoder.feed(stream[-3:]) == packets[-1:]
     assert decoder.pending_bytes() == 0
+
+
+def reference_decode_publish(buf: bytes) -> tuple[Publish, int] | None:
+    """PUBLISH decoding without the topic cache: every topic decoded and validated in full."""
+    if not buf:
+        return None
+    assert buf[0] >> 4 == 3
+    flags = buf[0] & 0x0F
+    decoded = decode_remaining_length(buf, 1)
+    if decoded is None:
+        return None
+    remaining, rl_len = decoded
+    if remaining > _MAX_FRAME:
+        raise ProtocolError("frame exceeds cap")
+    end = 1 + rl_len + remaining
+    if len(buf) < end:
+        return None
+    body = bytes(buf[1 + rl_len : end])
+    if flags != 0:
+        raise ProtocolError("PUBLISH: flags set")
+    if len(body) < 2:
+        raise ProtocolError("PUBLISH topic: truncated length prefix")
+    (length,) = struct.unpack_from(">H", body, 0)
+    if 2 + length > len(body):
+        raise ProtocolError("PUBLISH topic: truncated string")
+    try:
+        topic = body[2 : 2 + length].decode("utf-8")
+        validate_topic(topic)
+        return Publish(topic, body[2 + length :]), end
+    except (UnicodeDecodeError, PacketError) as exc:
+        raise ProtocolError(str(exc)) from exc
+
+
+def raw_publish(
+    topic: bytes, payload: bytes, flags: int = 0, pad: int = 0, topic_length: int | None = None
+) -> bytes:
+    """A PUBLISH frame from raw parts; ``pad`` zero bytes make its remaining length non-minimal."""
+    length = len(topic) if topic_length is None else topic_length
+    body = struct.pack(">H", length) + topic + payload
+    varint = bytearray(encode_remaining_length(len(body)))
+    for _ in range(pad):
+        varint[-1] |= 0x80
+        varint.append(0x00)
+    return bytes([0x30 | flags]) + bytes(varint) + body
+
+
+def decode_outcome(decode, data: bytes):
+    try:
+        return decode(data)
+    except ProtocolError:
+        return "ProtocolError"
+
+
+def with_byte(topic: bytes, rng: random.Random, byte: bytes) -> bytes:
+    i = rng.randrange(len(topic))
+    return topic[:i] + byte + topic[i + 1 :]
+
+
+_MUTATIONS = {
+    "dup": lambda t, p, rng: raw_publish(t, p, flags=0x08),
+    "qos": lambda t, p, rng: raw_publish(t, p, flags=rng.choice([0x02, 0x04, 0x06])),
+    "retain": lambda t, p, rng: raw_publish(t, p, flags=0x01),
+    "wildcard": lambda t, p, rng: raw_publish(with_byte(t, rng, rng.choice([b"+", b"#"])), p),
+    "nul": lambda t, p, rng: raw_publish(with_byte(t, rng, b"\x00"), p),
+    "empty topic": lambda t, p, rng: raw_publish(b"", p),
+    "invalid utf-8": lambda t, p, rng: raw_publish(with_byte(t, rng, bytes([rng.choice([0x80, 0xC3, 0xFF])])), p),
+    "truncated topic length": lambda t, p, rng: bytes([0x30, 0x01, rng.randrange(256)]),
+    "topic length past the frame": lambda t, p, rng: raw_publish(
+        t, p, topic_length=len(t) + len(p) + rng.randint(1, 3)
+    ),
+    "non-minimal remaining length": lambda t, p, rng: raw_publish(
+        t, p, pad=rng.randint(1, 4 - len(encode_remaining_length(2 + len(t) + len(p))))
+    ),
+}
+
+
+def random_publish_parts(rng: random.Random) -> tuple[bytes, bytes]:
+    if rng.random() < 0.5:  # a few topics that recur, so most of their decodes hit the topic cache
+        topic = rng.choice(["tagteam/pose", "tagteam/detections", "a", "é/中"])
+    else:
+        from conftest import random_topic
+
+        topic = random_topic(rng) + rng.choice(["", "/é", "/中"])
+    size = rng.choice([0, 1, 100, 150, 300, 17_000])
+    return topic.encode("utf-8"), rng.randbytes(rng.randint(0, size))
+
+
+def assert_decodes_as_reference(data: bytes) -> None:
+    got = decode_outcome(decode_packet, data)
+    assert got == decode_outcome(reference_decode_publish, data), data[:40]
+    if isinstance(got, tuple):
+        packet, end = got
+        varint_end = 1 + decode_remaining_length(data, 1)[1]
+        canonical = varint_end == 2 or data[varint_end - 1] != 0
+        assert packet.frame == (data[:end] if canonical else None)
+
+
+def test_publish_decode_matches_reference_on_valid_frames():
+    rng = random.Random(404)
+    for _ in range(2000):
+        data = raw_publish(*random_publish_parts(rng))
+        assert_decodes_as_reference(data)
+        assert_decodes_as_reference(data + encode_packet(PingReq()))  # trailing bytes stay
+        assert_decodes_as_reference(data[: rng.randrange(len(data))])  # a cut frame needs more bytes
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_publish_decode_matches_reference_on_single_faults(mutation):
+    rng = random.Random(mutation)
+    for _ in range(300):
+        topic, payload = random_publish_parts(rng)
+        assert_decodes_as_reference(raw_publish(topic, payload))  # the topic may now be cached
+        assert_decodes_as_reference(_MUTATIONS[mutation](topic, payload, rng))
+
+
+def test_publish_decode_matches_reference_over_the_payload_cap():
+    for topic in (b"tagteam/pose", b"cap/uncached"):
+        for payload_size in (MAX_PAYLOAD, MAX_PAYLOAD + 1):
+            data = raw_publish(topic, bytes(payload_size))
+            assert_decodes_as_reference(data)
+        assert decode_outcome(decode_packet, data) == "ProtocolError"
+    # a remaining length above the frame cap is refused before the frame arrives
+    head = bytes([0x30]) + encode_remaining_length(_MAX_FRAME + 1)
+    assert decode_outcome(decode_packet, head) == decode_outcome(reference_decode_publish, head)
+    assert decode_outcome(decode_packet, head) == "ProtocolError"
+
+
+def test_topic_cache_stays_paired_and_capped_under_threads(monkeypatch):
+    monkeypatch.setattr(packets, "TOPIC_CACHE_TOPICS", 4)  # a clear every few inserts
+    sizes = []
+
+    def construct(worker: int) -> None:
+        for i in range(3000):
+            Publish(f"w{worker}/{i % 700}", b"")
+            sizes.append(max(len(packets._TOPIC_PREFIX), len(packets._PREFIX_TOPIC)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=construct, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert max(sizes) <= 4
+    assert {prefix: topic for topic, prefix in packets._TOPIC_PREFIX.items()} == packets._PREFIX_TOPIC
