@@ -11,8 +11,8 @@ The similarity pipeline, pinned by regression tests:
    (i-1,j), (i,j-1), (i-1,j-1); the distance is the cost sum along the
    optimal boundary-matched path (backtrack ties prefer diagonal, then
    (i-1,j), then (i,j-1)). The accumulated-cost matrix is never stored:
-   the forward pass keeps one byte of backtrack move per cell, and long
-   inputs are filled one anti-diagonal at a time with numpy;
+   the forward pass keeps one byte of backtrack move per cell and fills
+   the cells one anti-diagonal at a time with numpy;
 4. similarity = 1 / (1 + distance / path_length).
 
 This mapping is monotone, bounded in (0, 1] and equals 1 exactly at
@@ -74,13 +74,6 @@ class SyncReport:
 # to that cell came from.
 _DIAG, _UP, _LEFT = 0, 1, 2
 
-# Mean anti-diagonal length (cells / diagonals) from which the numpy
-# wavefront beats the scalar row loop. The wavefront pays a fixed numpy
-# overhead per diagonal, the row loop about 0.7 us per cell. Measured on
-# a 2-core Xeon (Python 3.11, numpy 2.4) over 1:1, 1:4 and 1:16 shapes,
-# the two take equal time at a mean diagonal length of 13 to 15 cells.
-_WAVEFRONT_MIN_DIAGONAL = 14
-
 
 def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
     """Dynamic time warping distance and optimal alignment path.
@@ -96,10 +89,7 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
     if A.shape[1] != B.shape[1]:
         raise ValueError("dtw: points must share one dimensionality")
     n, m = len(A), len(B)
-    if n * m < _WAVEFRONT_MIN_DIAGONAL * (n + m - 1):
-        distance, moves = _dtw_rows(A.tolist(), B.tolist())
-    else:
-        distance, moves = _dtw_wavefront(A, B)
+    distance, moves = _dtw_wavefront(A, B)
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while i or j:
@@ -120,44 +110,13 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
     return distance, path
 
 
-def _dtw_rows(A: list[list[float]], B: list[list[float]]) -> tuple[float, bytearray]:
-    """Fill the recurrence row by row; return D[n-1, m-1] and the moves.
+def _dtw_wavefront(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray]:
+    """Fill the recurrence one anti-diagonal at a time: D[n-1, m-1], moves.
 
     A cell takes the diagonal predecessor if it is no greater than the
     other two, else the upper one if no greater than the left one, else
     the left one. Border cells (i == 0 or j == 0) have one predecessor;
     the backtrack reads no move there.
-    """
-    n, m = len(A), len(B)
-    moves = bytearray(n * m)
-    hypot = math.hypot
-    prev: list[float] = []
-    for i in range(n):
-        ai = A[i]
-        row = [0.0] * m
-        base = i * m
-        for j in range(m):
-            c = hypot(*(x - y for x, y in zip(ai, B[j])))
-            if i == 0:
-                row[j] = c + row[j - 1] if j else c
-            elif j == 0:
-                row[j] = c + prev[0]
-            else:
-                diag, up, left = prev[j - 1], prev[j], row[j - 1]
-                if diag <= up and diag <= left:
-                    row[j] = c + diag
-                elif up <= left:
-                    row[j] = c + up
-                    moves[base + j] = _UP
-                else:
-                    row[j] = c + left
-                    moves[base + j] = _LEFT
-        prev = row
-    return prev[m - 1], moves
-
-
-def _dtw_wavefront(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray]:
-    """The same recurrence as ``_dtw_rows``, one anti-diagonal at a time.
 
     Diagonal k holds the cells (i, k - i). Only the two previous
     diagonals are kept, indexed by row + 1 so that index 0 (row -1) and
@@ -184,9 +143,9 @@ def _dtw_wavefront(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray]:
         cost = np.fromiter(map(hypot, *diffs), float, hi - lo + 1)
         diag, up, left = older[lo:hi + 1], newer[lo:hi + 1], newer[lo + 1:hi + 2]
         up_or_left = np.minimum(up, left)
-        # the move rule of _dtw_rows: _DIAG (0) unless diag is greater
-        # than both, else _UP (1) or _LEFT (2); cells (i, k - i) for i in
-        # lo..hi sit at flat index k + i * (m - 1)
+        # the move rule: _DIAG (0) unless diag is greater than both, else
+        # _UP (1) unless up is greater than left, else _LEFT (2); cells
+        # (i, k - i) for i in lo..hi sit at flat index k + i * (m - 1)
         np.multiply(diag > up_or_left, _UP + (up > left),
                     out=flat[k + lo * (m - 1):k + hi * (m - 1) + 1:max(m - 1, 1)], casting="unsafe")
         older[lo + 1:hi + 2] = cost + np.minimum(diag, up_or_left)

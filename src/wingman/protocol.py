@@ -4,9 +4,9 @@ Topic -> schema binding is closed: ``tagteam/pose`` carries PoseMsg,
 ``tagteam/cmd`` carries CommandMsg or DetachMsg (discriminated by the
 ``kind`` field), ``tagteam/detections`` carries DetectionMsg and
 ``tagteam/cues`` carries CueMsg. The table ``_WIRE`` below is the one
-source of each message's wire keys, their order and their wire types;
-one encoder and one decoder read it. docs/protocol.md describes what the
-fields mean and their constraints.
+source of each message's wire keys, their order, their wire types and
+each field's constraint; one encoder, one decoder and one check read it.
+docs/protocol.md describes what the fields mean.
 
 Encoding is canonical: fixed key order, floats rendered with 9
 significant digits, no whitespace. Float fields therefore live on the
@@ -15,18 +15,26 @@ For any message whose floats are wire-precision values (everything that
 came out of :func:`decode_message` qualifies), decode(encode(m)) == m and
 byte equality implies message equality.
 
-Decoding is strict: unknown topics raise RoutingError, and a missing,
-extra or ill-typed field raises ValidationError naming the field, as
-does a payload that is not JSON or whose numbers or nesting are too
-large to represent. Decoding never fabricates defaults. Angle fields are
-re-normalized on construction; range constraints (confidence, speed,
-distance) are errors.
+Every constructor runs the check, so every message can be encoded: a
+field takes only values of a type the encoder writes (for a float, a
+non-bool int or a float) that its constraint admits; else ValidationError
+names the field. Angle fields are re-normalized on construction.
+
+Decoding is strict: unknown topics raise RoutingError, and a missing or
+extra field raises ValidationError naming the field, as does a payload
+that is not JSON or whose numbers or nesting are too large to represent.
+The decoder restores only nesting and ints in float fields, and leaves
+types and ranges to the check: the constructor's, and for a pose, the
+check that runs before ``Pose`` normalizes its yaw. It never fabricates
+defaults.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
 
@@ -38,8 +46,6 @@ TOPIC_DETECTIONS = "tagteam/detections"
 TOPIC_CUES = "tagteam/cues"
 
 MESSAGE_VERSION = 1
-
-_MAX_SEQUENCE = 2**64 - 1
 
 
 class RoutingError(Exception):
@@ -86,6 +92,12 @@ def _dumps_key(key) -> str:
     return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps(key)
 
 
+def _check(msg) -> None:
+    """The constructor check of every message: the one check ``_WIRE`` drives."""
+    wire = _WIRE[type(msg)]
+    wire.check(wire.values(msg))
+
+
 @dataclass(frozen=True)
 class PoseMsg:
     """Wearable pose sample; sequence is strictly increasing per source."""
@@ -94,12 +106,7 @@ class PoseMsg:
     pose: Pose
     sequence: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.source_id, str) or not self.source_id:
-            raise ValidationError("source_id: must be a non-empty string")
-        _check_sequence(self.sequence)
-        if self.pose.frame is not FrameId.WEARABLE:
-            raise ValidationError(f"pose.frame: expected wearable, got {self.pose.frame.value}")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -111,14 +118,7 @@ class CommandMsg:
     speed: float
     sequence: int
 
-    def __post_init__(self) -> None:
-        if not self.target.is_finite():
-            raise ValidationError("target: must be finite")
-        if not isinstance(self.speed, (int, float)) or not math.isfinite(self.speed) or self.speed <= 0:
-            raise ValidationError(f"speed: {self.speed!r} must be finite and > 0")
-        if not math.isfinite(self.yaw):
-            raise ValidationError("yaw: must be finite")
-        _check_sequence(self.sequence)
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,7 @@ class DetachMsg:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
-        if not self.waypoints:
-            raise ValidationError("waypoints: at least one waypoint required")
-        for i, w in enumerate(self.waypoints):
-            if not w.is_finite():
-                raise ValidationError(f"waypoints[{i}]: must be finite")
-        _check_sequence(self.sequence)
+        _check(self)
 
 
 @dataclass(frozen=True)
@@ -152,17 +147,7 @@ class DetectionMsg:
     confidence: float
     timestamp: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.object_id, str) or not self.object_id:
-            raise ValidationError("object_id: must be a non-empty string")
-        if not isinstance(self.label, str):
-            raise ValidationError("label: must be a string")
-        if not self.position.is_finite():
-            raise ValidationError("position: must be finite")
-        if not isinstance(self.confidence, (int, float)) or not 0.0 <= self.confidence <= 1.0:
-            raise ValidationError(f"confidence: {self.confidence!r} not in [0, 1]")
-        if not isinstance(self.timestamp, (int, float)) or not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise ValidationError(f"timestamp: {self.timestamp!r} must be finite and >= 0")
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -177,40 +162,39 @@ class CueMsg:
     timestamp: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.object_id, str) or not self.object_id:
-            raise ValidationError("object_id: must be a non-empty string")
-        if not isinstance(self.label, str):
-            raise ValidationError("label: must be a string")
-        if not isinstance(self.distance, (int, float)) or not math.isfinite(self.distance) or self.distance < 0:
-            raise ValidationError(f"distance: {self.distance!r} must be finite and >= 0")
-        if not isinstance(self.azimuth, (int, float)) or not math.isfinite(self.azimuth):
-            raise ValidationError("azimuth: must be finite")
+        _check(self)
         object.__setattr__(self, "azimuth", wrap_azimuth(self.azimuth))
-        if not isinstance(self.blind_spot, bool):
-            raise ValidationError("blind_spot: must be a boolean")
-        if not isinstance(self.timestamp, (int, float)) or not math.isfinite(self.timestamp) or self.timestamp < 0:
-            raise ValidationError(f"timestamp: {self.timestamp!r} must be finite and >= 0")
 
 
 Message = PoseMsg | CommandMsg | DetachMsg | DetectionMsg | CueMsg
 
 
-def _check_sequence(seq) -> None:
-    if not isinstance(seq, int) or isinstance(seq, bool) or not 0 <= seq <= _MAX_SEQUENCE:
-        raise ValidationError(f"sequence: {seq!r} not a uint64")
+# A field's constraint: its text, and a test of a value of the field's wire type.
+_Rule = namedtuple("_Rule", "text admits")
 
 
-def _wearable_pose(frame: str, x: float, y: float, z: float, yaw: float, timestamp: float) -> Pose:
-    if frame != FrameId.WEARABLE.value:
-        raise ValidationError(f"pose.frame: expected wearable, got {frame!r}")
-    try:
-        return Pose(Vec3(x, y, z), yaw, FrameId.WEARABLE, timestamp)
-    except ValueError as exc:
-        raise ValidationError(f"pose: {exc}") from exc
+_MAX_FLOAT = sys.float_info.max
+_ANY = _Rule("anything", lambda value: True)
+_NON_EMPTY = _Rule("non-empty", len)
+_FINITE = _Rule("finite", math.isfinite)
+_NON_NEGATIVE = _Rule("finite and >= 0", lambda value: 0.0 <= value <= _MAX_FLOAT)
+_UNIT = _Rule("in [0, 1]", lambda value: 0.0 <= value <= 1.0)
+_POSITIVE = _Rule("finite and > 0", lambda value: 0.0 < value <= _MAX_FLOAT)
+_UINT64 = _Rule("a uint64", lambda value: 0 <= value <= 2**64 - 1)
+_WEARABLE = _Rule('"wearable"', FrameId.WEARABLE.value.__eq__)
+
+# Each scalar wire type's name, and a test of the values the encoder writes for it.
+_WRITES = {
+    str: ("a string", lambda value: isinstance(value, str)),
+    int: ("an integer", lambda value: isinstance(value, int) and type(value) is not bool),
+    float: ("a number", lambda value: isinstance(value, (int, float)) and type(value) is not bool),
+    bool: ("a boolean", lambda value: type(value) is bool),
+}
 
 
 class _Object:
-    """One JSON object on the wire: its keys in order, each with a wire type.
+    """One JSON object on the wire: its keys in order, each with a wire type
+    and a constraint.
 
     A wire type is ``str``, ``int``, ``float``, ``bool``, a nested
     ``_Object``, or ``[_Object]`` for a list of them. ``values`` maps a
@@ -220,23 +204,48 @@ class _Object:
 
     head = "{"
 
-    def __init__(self, fields: tuple[tuple[str, object], ...], values, build) -> None:
+    def __init__(self, fields: tuple[tuple[str, object, _Rule], ...], values, build) -> None:
         self.fields, self.values, self.build = fields, values, build
-        self.keys = {key for key, _ in fields}
-        self._renders = tuple((json.dumps(key) + ":", _renderer(kind)) for key, kind in fields)
+        self.keys = {key for key, _, _ in fields}
+        self._renders = tuple((json.dumps(key) + ":", _renderer(kind)) for key, kind, _ in fields)
+        self.passes = _compile_passes(fields)
 
     def encode(self, obj) -> str:
         parts = [key + render(value) for (key, render), value in zip(self._renders, self.values(obj))]
         return self.head + ",".join(parts) + "}"
 
+    def check(self, values, path: str = "") -> None:
+        """Raise ValidationError naming the first value the encoder cannot
+        write or its rule refuses; ``path`` prefixes a nested object's keys."""
+        if self.passes(values):
+            return
+        for (key, kind, rule), value in zip(self.fields, values):
+            if type(value) is not kind:  # nested, a list, or another type the encoder may write
+                if isinstance(kind, _Object):
+                    kind.check(kind.values(value), f"{path}{key}.")
+                    continue
+                if isinstance(kind, list):
+                    for i, entry in enumerate(value):
+                        kind[0].check(kind[0].values(entry), f"{path}{key}[{i}].")
+                else:
+                    noun, writes = _WRITES[kind]
+                    if not writes(value):
+                        raise ValidationError(f"{path}{key}: expected {noun}, got {type(value).__name__}")
+                    try:  # the rule judges the value as the decoder reads it back
+                        value = float(value) if kind is float else value
+                    except OverflowError:  # an int too large for a float
+                        raise ValidationError(f"{path}{key}: must be {rule.text}") from None
+            if not rule.admits(value):
+                raise ValidationError(f"{path}{key}: must be {rule.text}")
+
     def decode(self, doc: dict):
-        """The object ``doc`` holds; ValidationError names the first bad key."""
-        if doc.keys() != self.keys:  # raise at the first missing or ill-typed key, else the first extra
-            for key, kind in self.fields:
-                _take(doc, key, kind)
-            _done(doc)
+        """The object ``doc`` holds; ValidationError names a missing or extra key."""
+        if doc.keys() != self.keys:
+            missing = [key for key, _, _ in self.fields if key not in doc]
+            raise ValidationError(f"{missing[0]}: missing" if missing
+                                  else f"{min(doc.keys() - self.keys)}: unexpected field")
         values = []
-        for key, kind in self.fields:
+        for key, kind, _ in self.fields:
             value = doc[key]
             values.append(value if type(value) is kind else _convert(key, kind, value))
         return self.build(*values)
@@ -271,52 +280,83 @@ def _renderer(kind):
     return encode_basestring if kind is str else _dumps
 
 
+def _compile_passes(fields):
+    """``check``'s loop for values of exactly their fields' wire types,
+    unrolled: true when the rule of each admits it. Every message built
+    runs it; in the follower replay of bench/bus.py the loop took 5.5 us
+    per PoseMsg and 2.9 per CommandMsg, this 2.6 and 1.6 (Python 3.11)."""
+    env, names, tests = {}, [], []
+    for i, (_, kind, rule) in enumerate(fields):
+        names.append(v := f"v{i}")
+        env[f"k{i}"], env[f"a{i}"] = kind, rule.admits
+        if isinstance(kind, _Object):
+            tests.append(f"k{i}.passes(k{i}.values({v}))")
+        elif isinstance(kind, list):
+            tests.append(f"all(k{i}[0].passes(k{i}[0].values(e)) for e in {v}) and a{i}({v})")
+        else:
+            tests.append(f"type({v}) is k{i} and a{i}({v})")
+    exec(f"def passes(values):\n    {', '.join(names)}, = values\n    return {' and '.join(tests)}\n", env)
+    return env["passes"]
+
+
 def _convert(key: str, kind, value):
-    """``value`` as wire type ``kind`` when its JSON type is not ``kind`` itself."""
+    """``value`` as wire type ``kind`` when its JSON type is not ``kind``:
+    only nesting and an int in a float field; the check judges the rest."""
     if kind is float and type(value) is int:
         try:
             return float(value)
         except OverflowError:
             raise ValidationError(f"{key}: number out of range") from None
-    if isinstance(kind, _Object) and type(value) is dict:
+    if isinstance(kind, _Object):
+        if type(value) is not dict:
+            raise ValidationError(f"{key}: expected an object, got {type(value).__name__}")
         return kind.decode(value)
-    if isinstance(kind, list) and type(value) is list:
-        for i, entry in enumerate(value):
-            if type(entry) is not dict:
-                raise ValidationError(f"{key}[{i}]: expected an object")
-        return [kind[0].decode(entry) for entry in value]
-    expected = "dict" if isinstance(kind, _Object) else "list" if isinstance(kind, list) else kind.__name__
-    expected = {"float": "a number", "int": "an integer"}.get(expected, expected)
-    raise ValidationError(f"{key}: expected {expected}, got {type(value).__name__}")
+    if isinstance(kind, list):
+        if type(value) is not list:
+            raise ValidationError(f"{key}: expected a list, got {type(value).__name__}")
+        return [_convert(f"{key}[{i}]", kind[0], entry) for i, entry in enumerate(value)]
+    return value
 
 
-_XYZ = (("x", float), ("y", float), ("z", float))
+def _decoded_pose(frame, x, y, z, yaw, timestamp) -> Pose:
+    """The Pose a decoded ``pose`` object holds, checked before ``Pose``
+    normalizes its yaw (which would read ``true`` as 1.0)."""
+    _POSE.check((frame, x, y, z, yaw, timestamp), "pose.")
+    return Pose(Vec3(x, y, z), yaw, FrameId.WEARABLE, timestamp)
+
+
+_XYZ = (("x", float, _FINITE), ("y", float, _FINITE), ("z", float, _FINITE))
 _POSE = _Object(
-    (("frame", str), *_XYZ, ("yaw", float), ("timestamp", float)),
+    (("frame", str, _WEARABLE), *_XYZ, ("yaw", float, _FINITE), ("timestamp", float, _NON_NEGATIVE)),
     lambda pose: (pose.frame.value, *pose.position.as_tuple(), pose.yaw, pose.timestamp),
-    _wearable_pose,
+    _decoded_pose,
 )
 
-# The one statement of each message's wire keys, their order and their wire types.
+# The one statement of each message's wire keys, their order, their wire
+# types and their constraints.
 _WIRE: dict[type, _Message] = {
     PoseMsg: _Message(
-        TOPIC_POSE, None, (("source_id", str), ("sequence", int), ("pose", _POSE)),
+        TOPIC_POSE, None,
+        (("source_id", str, _NON_EMPTY), ("sequence", int, _UINT64), ("pose", _POSE, _ANY)),
         lambda m: (m.source_id, m.sequence, m.pose),
         lambda source_id, sequence, pose: PoseMsg(source_id, pose, sequence),
     ),
     CommandMsg: _Message(
-        TOPIC_CMD, "move", (("sequence", int), *_XYZ, ("yaw", float), ("speed", float)),
+        TOPIC_CMD, "move",
+        (("sequence", int, _UINT64), *_XYZ, ("yaw", float, _FINITE), ("speed", float, _POSITIVE)),
         lambda m: (m.sequence, *m.target.as_tuple(), m.yaw, m.speed),
         lambda sequence, x, y, z, yaw, speed: CommandMsg(Vec3(x, y, z), yaw, speed, sequence),
     ),
     DetachMsg: _Message(
-        TOPIC_CMD, "detach", (("sequence", int), ("waypoints", [_Object(_XYZ, Vec3.as_tuple, Vec3)])),
+        TOPIC_CMD, "detach",
+        (("sequence", int, _UINT64), ("waypoints", [_Object(_XYZ, Vec3.as_tuple, Vec3)], _NON_EMPTY)),
         lambda m: (m.sequence, m.waypoints),
         lambda sequence, waypoints: DetachMsg(waypoints, sequence),
     ),
     DetectionMsg: _Message(
         TOPIC_DETECTIONS, None,
-        (("object_id", str), ("label", str), *_XYZ, ("confidence", float), ("timestamp", float)),
+        (("object_id", str, _NON_EMPTY), ("label", str, _ANY), *_XYZ,
+         ("confidence", float, _UNIT), ("timestamp", float, _NON_NEGATIVE)),
         lambda m: (m.object_id, m.label, *m.position.as_tuple(), m.confidence, m.timestamp),
         lambda object_id, label, x, y, z, confidence, timestamp: DetectionMsg(
             object_id, label, Vec3(x, y, z), confidence, timestamp
@@ -324,8 +364,8 @@ _WIRE: dict[type, _Message] = {
     ),
     CueMsg: _Message(
         TOPIC_CUES, None,
-        (("object_id", str), ("label", str), ("distance", float), ("azimuth", float),
-         ("blind_spot", bool), ("timestamp", float)),
+        (("object_id", str, _NON_EMPTY), ("label", str, _ANY), ("distance", float, _NON_NEGATIVE),
+         ("azimuth", float, _FINITE), ("blind_spot", bool, _ANY), ("timestamp", float, _NON_NEGATIVE)),
         lambda m: (m.object_id, m.label, m.distance, m.azimuth, m.blind_spot, m.timestamp),
         CueMsg,
     ),
@@ -349,8 +389,10 @@ def decode_message(topic: str, payload: bytes) -> Message:
         raise RoutingError(f"no schema bound to topic {topic!r}")
     doc = _load(payload)
     if wire is None:
-        kind = _take(doc, "kind", str)
-        wire = _BY_KIND.get(kind)
+        if "kind" not in doc:
+            raise ValidationError("kind: missing")
+        kind = doc.pop("kind")
+        wire = _BY_KIND.get(kind) if type(kind) is str else None
         if wire is None:
             raise ValidationError(f"kind: unknown command kind {kind!r}")
     return wire.decode(doc)
@@ -367,15 +409,3 @@ def _load(payload: bytes) -> dict:
     if version != MESSAGE_VERSION:
         raise ValidationError(f"v: expected {MESSAGE_VERSION}, got {version!r}")
     return doc
-
-
-def _take(doc: dict, field: str, kind) -> object:
-    if field not in doc:
-        raise ValidationError(f"{field}: missing")
-    value = doc.pop(field)
-    return value if type(value) is kind else _convert(field, kind, value)
-
-
-def _done(doc: dict) -> None:
-    if doc:
-        raise ValidationError(f"{sorted(doc)[0]}: unexpected field")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from wingman.evaluation import (
-    _WAVEFRONT_MIN_DIAGONAL,
     AnnotationError,
     Trajectory,
     dtw,
@@ -175,13 +174,13 @@ def reference_dtw(a, b):
 
 def test_dtw_full_path_and_tie_order_match_reference():
     # integer values make many equal-cost predecessors, so the tie order
-    # decides the path; shapes fall on both sides of the scalar/wavefront
-    # switch
+    # decides the path; the degenerate shapes (1 x 1, 1 x n, n x 1) have
+    # one-cell anti-diagonals and a single path
     rng = random.Random(11)
     shapes = [(n, m) for n in range(1, 9) for m in range(1, 9)] * 4
     shapes += [(rng.randint(40, 120), rng.randint(40, 120)) for _ in range(12)]
     shapes += [(120, 120), (1, 60), (60, 2), (30, 400)]
-    assert {n * m < _WAVEFRONT_MIN_DIAGONAL * (n + m - 1) for n, m in shapes} == {True, False}
+    shapes += [(1, 1), (1, 200), (200, 1)]
     for n, m in shapes:
         for dim in (1, 2):
             if dim == 1:

@@ -317,3 +317,97 @@ def test_canonical_json_strings_match_json_dumps(text):
 
 def test_canonical_json_non_str_keys_keep_their_rendering():
     assert canonical_json({1: "a", 2.5: True, None: 0, False: []}) == '{1:"a",2.5:true,null:0,false:[]}'
+
+
+class Count(int):
+    """An int subclass; the encoder writes it as the int it is."""
+
+
+def pose_holding(x=0.5, y=0.0, z=-0.25, yaw=0.0, timestamp=1.5):
+    """A wearable Pose holding exactly these values, including ones its own
+    constructor would refuse or normalize; the message check must judge them."""
+    pose = Pose(Vec3(), 0.0, FrameId.WEARABLE, 0.0)
+    object.__setattr__(pose, "position", Vec3(x, y, z))
+    object.__setattr__(pose, "yaw", yaw)
+    object.__setattr__(pose, "timestamp", timestamp)
+    return pose
+
+
+def xyz_fields(prefix, topic, make):
+    """One entry per coordinate of the Vec3 that ``make(vec)`` puts in a message."""
+    return [
+        (f"{prefix}{axis}", topic, lambda v, k=k: make(Vec3(*(v if i == k else 0.25 for i in range(3)))))
+        for k, axis in enumerate("xyz")
+    ]
+
+
+# every float field of every message type, named as the check names it
+FLOAT_FIELDS = [
+    *xyz_fields("pose.", TOPIC_POSE, lambda p: PoseMsg("w", pose_holding(*p.as_tuple()), 7)),
+    ("pose.yaw", TOPIC_POSE, lambda v: PoseMsg("w", pose_holding(yaw=v), 7)),
+    ("pose.timestamp", TOPIC_POSE, lambda v: PoseMsg("w", pose_holding(timestamp=v), 7)),
+    *xyz_fields("", TOPIC_CMD, lambda p: CommandMsg(p, 0.5, 1.0, 7)),
+    ("yaw", TOPIC_CMD, lambda v: CommandMsg(Vec3(), v, 1.0, 7)),
+    ("speed", TOPIC_CMD, lambda v: CommandMsg(Vec3(), 0.5, v, 7)),
+    *xyz_fields("waypoints[1].", TOPIC_CMD, lambda p: DetachMsg([Vec3(), p], 7)),
+    *xyz_fields("", TOPIC_DETECTIONS, lambda p: DetectionMsg("a", "box", p, 0.5, 1.5)),
+    ("confidence", TOPIC_DETECTIONS, lambda v: DetectionMsg("a", "box", Vec3(), v, 1.5)),
+    ("timestamp", TOPIC_DETECTIONS, lambda v: DetectionMsg("a", "box", Vec3(), 0.5, v)),
+    ("distance", TOPIC_CUES, lambda v: CueMsg("a", "box", v, 0.0, True, 1.5)),
+    ("azimuth", TOPIC_CUES, lambda v: CueMsg("a", "box", 1.0, v, True, 1.5)),
+    ("timestamp", TOPIC_CUES, lambda v: CueMsg("a", "box", 1.0, 0.0, True, v)),
+]
+SEQUENCE_FIELDS = [
+    (TOPIC_POSE, lambda s: PoseMsg("w", pose_holding(), s)),
+    (TOPIC_CMD, lambda s: CommandMsg(Vec3(), 0.5, 1.0, s)),
+    (TOPIC_CMD, lambda s: DetachMsg([Vec3()], s)),
+]
+
+
+def assert_constructs_and_round_trips(topic, make, value):
+    msg = make(value)
+    assert decode_message(topic, encode_message(msg)) == msg
+
+
+@pytest.mark.parametrize("field,topic,make", FLOAT_FIELDS, ids=[f"{t}:{f}" for f, t, _ in FLOAT_FIELDS])
+def test_every_float_field_takes_only_values_the_encoder_writes(field, topic, make):
+    # a float or a non-bool int (subclasses included) constructs, encodes and
+    # decodes back to an equal message
+    for value in (np.float64(0.5), Count(1), 0.5, 1):
+        assert_constructs_and_round_trips(topic, make, value)
+    # anything else fails construction naming the field, never with
+    # TypeError or OverflowError, in the constructor or in encode_message
+    for value, reason in ((True, "expected a number, got bool"), (False, "expected a number, got bool"),
+                          (np.float32(0.5), "expected a number, got float32"), (10**400, "must be ")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(field)}: {reason}"):
+            make(value)
+
+
+def test_int_values_are_judged_as_floats_under_their_field_name():
+    for make, reason in ((lambda: PoseMsg("w", pose_holding(timestamp=-1), 7), "pose.timestamp: must be finite and >= 0"),
+                         (lambda: DetachMsg([Vec3(), Vec3(0, 10**400, 0)], 7), "waypoints[1].y: must be finite"),
+                         (lambda: DetectionMsg("a", "box", Vec3(), Count(2), 1.5), "confidence: must be in [0, 1]"),
+                         (lambda: CommandMsg(Vec3(), 0.5, 0, 7), "speed: must be finite and > 0")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+            make()
+
+
+@pytest.mark.parametrize("topic,make", SEQUENCE_FIELDS, ids=["pose", "move", "detach"])
+def test_sequence_takes_only_uint64_ints(topic, make):
+    for value in (0, Count(5), 2**64 - 1):
+        assert_constructs_and_round_trips(topic, make, value)
+    for value in (-1, 2**64, True, 5.0, np.int64(5)):
+        with pytest.raises(ValidationError, match="^sequence: "):
+            make(value)
+
+
+def test_decoded_pose_fields_are_named_by_the_check():
+    doc = json.loads(encode_message(PoseMsg("w", pose_holding(), 7)))
+    for key, value, reason in (("x", "a", "expected a number, got str"), ("yaw", None, "expected a number, got NoneType"),
+                               ("timestamp", -1, "must be finite and >= 0"), ("frame", "sky", 'must be "wearable"'),
+                               ("frame", "drone", 'must be "wearable"'), ("yaw", True, "expected a number, got bool"),
+                               ("x", False, "expected a number, got bool"), ("frame", [], "expected a string, got list")):
+        bad = json.loads(json.dumps(doc))
+        bad["pose"][key] = value
+        with pytest.raises(ValidationError, match=f"^pose.{key}: {re.escape(reason)}"):
+            decode_message(TOPIC_POSE, json.dumps(bad).encode())
