@@ -44,6 +44,10 @@ class AttentionModel:
         if self.cue_range <= 0:
             raise ValueError(f"cue_range must be > 0, got {self.cue_range}")
 
+    def in_range(self, distance: float) -> bool:
+        """Range rule: an object this far from the human is cued."""
+        return distance <= self.cue_range
+
 
 def is_in_blindspot(human: Pose, point: Vec3, fov: float) -> bool:
     """True iff the point lies outside the human's forward field of view.
@@ -64,7 +68,7 @@ def _outside_fov(distance: float, azimuth: float, fov: float) -> bool:
 def make_cue(human: Pose, detection: DetectionMsg, model: AttentionModel) -> CueMsg | None:
     """Human-relative cue for a detection, or None beyond the cue range."""
     distance, azimuth = relative_polar(human, detection.position)
-    if distance > model.cue_range:
+    if not model.in_range(distance):
         return None
     return CueMsg(
         object_id=detection.object_id,
@@ -81,7 +85,8 @@ class CueEngine:
 
     Wearable poses are shifted into the world frame by the configured
     human start offset so they can be compared against world-frame
-    detections. At most one cue per object id is emitted per window.
+    detections. At most one cue per object id is emitted per window, and a
+    cue message is built only for a cue that is emitted.
     """
 
     def __init__(
@@ -125,8 +130,8 @@ class CueEngine:
             human = self._human
             if human is None:
                 return  # cannot localize the object relative to an unknown human
-            cue = make_cue(human, detection, self.model)
-            if cue is None:
+            distance, _ = relative_polar(human, detection.position)
+            if not self.model.in_range(distance):
                 return
             last = self._last_emit.get(detection.object_id)
             if last is not None and detection.timestamp - last < DEDUP_WINDOW - 1e-9:
@@ -134,5 +139,6 @@ class CueEngine:
                 return
             self._last_emit[detection.object_id] = detection.timestamp
             self.cue_count += 1
+        cue = make_cue(human, detection, self.model)
         if self.publish is not None:
             self.publish(TOPIC_CUES, encode_message(cue))

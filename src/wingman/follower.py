@@ -60,13 +60,12 @@ class FollowerConfig:
             raise ValueError(f"deadband must be >= 0, got {self.deadband}")
 
 
-def assess(prev: Pose, curr: Pose, drone_pos: Vec3, cfg: FollowerConfig) -> CommandMsg | None:
+def assess(prev: Pose, curr: Pose, drone_pos: Vec3, cfg: FollowerConfig) -> IssueCommand | None:
     """One dead-reckoning update from a consecutive wearable pose pair.
 
     The caller is responsible for feeding pairs spaced by the configured
     update period. Motion below the deadband produces no command. The
     commanded yaw keeps the drone facing backwards relative to the human.
-    Returned messages carry sequence 0; the publisher assigns the real one.
     """
     if prev.frame is not curr.frame or prev.frame.value != "wearable":
         raise ValueError("assess: both poses must be in the wearable frame")
@@ -78,12 +77,7 @@ def assess(prev: Pose, curr: Pose, drone_pos: Vec3, cfg: FollowerConfig) -> Comm
     if moved == 0.0 or moved < cfg.deadband:
         return None
     speed = min(moved / dt, cfg.max_speed)
-    return CommandMsg(
-        target=drone_pos + delta_d,
-        yaw=wrap_angle(curr.yaw + math.pi),
-        speed=speed,
-        sequence=0,
-    )
+    return IssueCommand(drone_pos + delta_d, wrap_angle(curr.yaw + math.pi), speed)
 
 
 class Mode(enum.Enum):
@@ -313,7 +307,7 @@ class FollowerLoop:
             elif isinstance(action, IssueCommand):
                 origin = self._flight.position(now) if self._flight is not None else self._base
                 self._flight = _LegFlight(origin, action.target, action.speed, now)
-                self._send(CommandMsg(action.target, action.yaw, action.speed, 0))
+                self._send(action)
 
     def _run_assess(self, pose: Pose) -> None:
         cfg = self.cfg
@@ -338,11 +332,11 @@ class FollowerLoop:
             self._base = cmd.target
             self._send(cmd)
 
-    def _send(self, cmd: CommandMsg) -> None:
-        cmd = replace(cmd, sequence=self._next_cmd_seq)
+    def _send(self, cmd: IssueCommand) -> None:
+        msg = CommandMsg(cmd.target, cmd.yaw, cmd.speed, self._next_cmd_seq)
         self._next_cmd_seq += 1
         if self.publish is not None:
-            self.publish(TOPIC_CMD, encode_message(cmd))
+            self.publish(TOPIC_CMD, encode_message(msg))
 
     def _emit(self, t: float, name: str, data: dict) -> None:
         if self.on_event is not None:

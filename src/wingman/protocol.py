@@ -17,8 +17,9 @@ byte equality implies message equality.
 
 Every constructor runs the check, so every message can be encoded: a
 field takes only values of a type the encoder writes (for a float, a
-non-bool int or a float) that its constraint admits; else ValidationError
-names the field. Angle fields are re-normalized on construction.
+non-bool int or a float) that its constraint admits, and a field that
+holds an object only that object's class; else ValidationError names the
+field. Angle fields are re-normalized on construction.
 
 Decoding is strict: unknown topics raise RoutingError, and a missing or
 extra field raises ValidationError naming the field, as does a payload
@@ -133,8 +134,8 @@ class DetachMsg:
     sequence: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
         _check(self)
+        object.__setattr__(self, "waypoints", tuple(self.waypoints))
 
 
 @dataclass(frozen=True)
@@ -193,22 +194,21 @@ _WRITES = {
 
 
 class _Object:
-    """One JSON object on the wire: its keys in order, each with a wire type
-    and a constraint.
+    """One JSON object on the wire, holding a ``cls``: its keys in order,
+    each with a wire type and a constraint.
 
     A wire type is ``str``, ``int``, ``float``, ``bool``, a nested
     ``_Object``, or ``[_Object]`` for a list of them. ``values`` maps a
-    Python object to its values in key order; ``build`` makes the object
-    from them.
+    ``cls`` object to its values in key order; ``build`` makes one from
+    them.
     """
 
     head = "{"
 
-    def __init__(self, fields: tuple[tuple[str, object, _Rule], ...], values, build) -> None:
-        self.fields, self.values, self.build = fields, values, build
+    def __init__(self, cls: type, fields: tuple[tuple[str, object, _Rule], ...], values, build) -> None:
+        self.cls, self.fields, self.values, self.build = cls, fields, values, build
         self.keys = {key for key, _, _ in fields}
         self._renders = tuple((json.dumps(key) + ":", _renderer(kind)) for key, kind, _ in fields)
-        self.passes = _compile_passes(fields)
 
     def encode(self, obj) -> str:
         parts = [key + render(value) for (key, render), value in zip(self._renders, self.values(obj))]
@@ -217,16 +217,16 @@ class _Object:
     def check(self, values, path: str = "") -> None:
         """Raise ValidationError naming the first value the encoder cannot
         write or its rule refuses; ``path`` prefixes a nested object's keys."""
-        if self.passes(values):
-            return
         for (key, kind, rule), value in zip(self.fields, values):
             if type(value) is not kind:  # nested, a list, or another type the encoder may write
                 if isinstance(kind, _Object):
-                    kind.check(kind.values(value), f"{path}{key}.")
+                    kind.check_object(value, f"{path}{key}")
                     continue
                 if isinstance(kind, list):
+                    if not isinstance(value, (list, tuple)):
+                        raise ValidationError(f"{path}{key}: expected a list, got {type(value).__name__}")
                     for i, entry in enumerate(value):
-                        kind[0].check(kind[0].values(entry), f"{path}{key}[{i}].")
+                        kind[0].check_object(entry, f"{path}{key}[{i}]")
                 else:
                     noun, writes = _WRITES[kind]
                     if not writes(value):
@@ -237,6 +237,12 @@ class _Object:
                         raise ValidationError(f"{path}{key}: must be {rule.text}") from None
             if not rule.admits(value):
                 raise ValidationError(f"{path}{key}: must be {rule.text}")
+
+    def check_object(self, obj, name: str) -> None:
+        """``check`` for the object that the field ``name`` holds."""
+        if not isinstance(obj, self.cls):
+            raise ValidationError(f"{name}: expected a {self.cls.__name__}, got {type(obj).__name__}")
+        self.check(self.values(obj), f"{name}.")
 
     def decode(self, doc: dict):
         """The object ``doc`` holds; ValidationError names a missing or extra key."""
@@ -258,8 +264,8 @@ class _Message(_Object):
     ``kind`` discriminator.
     """
 
-    def __init__(self, topic: str, kind: str | None, fields, values, build) -> None:
-        super().__init__(fields, values, build)
+    def __init__(self, cls: type, topic: str, kind: str | None, fields, values, build) -> None:
+        super().__init__(cls, fields, values, build)
         self.topic, self.kind = topic, kind
         self.head = f'{{"v":{MESSAGE_VERSION},' + (f'"kind":{json.dumps(kind)},' if kind else "")
 
@@ -278,25 +284,6 @@ def _renderer(kind):
         return render_float
     # encode_basestring writes a str exactly as json.dumps(s, ensure_ascii=False) does
     return encode_basestring if kind is str else _dumps
-
-
-def _compile_passes(fields):
-    """``check``'s loop for values of exactly their fields' wire types,
-    unrolled: true when the rule of each admits it. Every message built
-    runs it; in the follower replay of bench/bus.py the loop took 5.5 us
-    per PoseMsg and 2.9 per CommandMsg, this 2.6 and 1.6 (Python 3.11)."""
-    env, names, tests = {}, [], []
-    for i, (_, kind, rule) in enumerate(fields):
-        names.append(v := f"v{i}")
-        env[f"k{i}"], env[f"a{i}"] = kind, rule.admits
-        if isinstance(kind, _Object):
-            tests.append(f"k{i}.passes(k{i}.values({v}))")
-        elif isinstance(kind, list):
-            tests.append(f"all(k{i}[0].passes(k{i}[0].values(e)) for e in {v}) and a{i}({v})")
-        else:
-            tests.append(f"type({v}) is k{i} and a{i}({v})")
-    exec(f"def passes(values):\n    {', '.join(names)}, = values\n    return {' and '.join(tests)}\n", env)
-    return env["passes"]
 
 
 def _convert(key: str, kind, value):
@@ -325,8 +312,17 @@ def _decoded_pose(frame, x, y, z, yaw, timestamp) -> Pose:
     return Pose(Vec3(x, y, z), yaw, FrameId.WEARABLE, timestamp)
 
 
+def _xyz(holder, name: str) -> tuple:
+    """The x, y and z a message writes among its own keys for the Vec3 in
+    its field ``name``; ValidationError if that field holds no Vec3."""
+    if not isinstance(holder, Vec3):
+        raise ValidationError(f"{name}: expected a Vec3, got {type(holder).__name__}")
+    return holder.x, holder.y, holder.z
+
+
 _XYZ = (("x", float, _FINITE), ("y", float, _FINITE), ("z", float, _FINITE))
 _POSE = _Object(
+    Pose,
     (("frame", str, _WEARABLE), *_XYZ, ("yaw", float, _FINITE), ("timestamp", float, _NON_NEGATIVE)),
     lambda pose: (pose.frame.value, *pose.position.as_tuple(), pose.yaw, pose.timestamp),
     _decoded_pose,
@@ -334,42 +330,42 @@ _POSE = _Object(
 
 # The one statement of each message's wire keys, their order, their wire
 # types and their constraints.
-_WIRE: dict[type, _Message] = {
-    PoseMsg: _Message(
-        TOPIC_POSE, None,
+_WIRE: dict[type, _Message] = {wire.cls: wire for wire in (
+    _Message(
+        PoseMsg, TOPIC_POSE, None,
         (("source_id", str, _NON_EMPTY), ("sequence", int, _UINT64), ("pose", _POSE, _ANY)),
         lambda m: (m.source_id, m.sequence, m.pose),
         lambda source_id, sequence, pose: PoseMsg(source_id, pose, sequence),
     ),
-    CommandMsg: _Message(
-        TOPIC_CMD, "move",
+    _Message(
+        CommandMsg, TOPIC_CMD, "move",
         (("sequence", int, _UINT64), *_XYZ, ("yaw", float, _FINITE), ("speed", float, _POSITIVE)),
-        lambda m: (m.sequence, *m.target.as_tuple(), m.yaw, m.speed),
+        lambda m: (m.sequence, *_xyz(m.target, "target"), m.yaw, m.speed),
         lambda sequence, x, y, z, yaw, speed: CommandMsg(Vec3(x, y, z), yaw, speed, sequence),
     ),
-    DetachMsg: _Message(
-        TOPIC_CMD, "detach",
-        (("sequence", int, _UINT64), ("waypoints", [_Object(_XYZ, Vec3.as_tuple, Vec3)], _NON_EMPTY)),
+    _Message(
+        DetachMsg, TOPIC_CMD, "detach",
+        (("sequence", int, _UINT64), ("waypoints", [_Object(Vec3, _XYZ, Vec3.as_tuple, Vec3)], _NON_EMPTY)),
         lambda m: (m.sequence, m.waypoints),
         lambda sequence, waypoints: DetachMsg(waypoints, sequence),
     ),
-    DetectionMsg: _Message(
-        TOPIC_DETECTIONS, None,
+    _Message(
+        DetectionMsg, TOPIC_DETECTIONS, None,
         (("object_id", str, _NON_EMPTY), ("label", str, _ANY), *_XYZ,
          ("confidence", float, _UNIT), ("timestamp", float, _NON_NEGATIVE)),
-        lambda m: (m.object_id, m.label, *m.position.as_tuple(), m.confidence, m.timestamp),
+        lambda m: (m.object_id, m.label, *_xyz(m.position, "position"), m.confidence, m.timestamp),
         lambda object_id, label, x, y, z, confidence, timestamp: DetectionMsg(
             object_id, label, Vec3(x, y, z), confidence, timestamp
         ),
     ),
-    CueMsg: _Message(
-        TOPIC_CUES, None,
+    _Message(
+        CueMsg, TOPIC_CUES, None,
         (("object_id", str, _NON_EMPTY), ("label", str, _ANY), ("distance", float, _NON_NEGATIVE),
          ("azimuth", float, _FINITE), ("blind_spot", bool, _ANY), ("timestamp", float, _NON_NEGATIVE)),
         lambda m: (m.object_id, m.label, m.distance, m.azimuth, m.blind_spot, m.timestamp),
         CueMsg,
     ),
-}
+)}
 _BY_TOPIC = {wire.topic: wire for wire in _WIRE.values() if wire.kind is None}
 _BY_KIND = {wire.kind: wire for wire in _WIRE.values() if wire.kind is not None}
 

@@ -187,3 +187,24 @@ def test_engine_cue_contents():
     assert cue.azimuth == pytest.approx(-math.pi / 2, abs=1e-8)
     assert cue.blind_spot is True
     assert cue.timestamp == 0.6
+
+
+def test_engine_builds_one_cue_message_per_emitted_cue(monkeypatch):
+    built = []
+    check = CueMsg.__post_init__
+
+    def counting_check(msg):
+        built.append(msg.object_id)
+        check(msg)
+
+    published = []
+    engine = CueEngine(AttentionModel(cue_range=5.0), publish=lambda topic, payload: published.append(payload))
+    pose = pose_payload(0.0)
+    sightings = [encode_message(detection(x, 0, object_id=f"o{x}", t=0.1 * k))
+                 for k in range(12) for x in (1, 2, 9)]  # o9 lies beyond the cue range
+    monkeypatch.setattr(CueMsg, "__post_init__", counting_check)
+    engine.on_message(TOPIC_POSE, pose)
+    for payload in sightings:
+        engine.on_message(TOPIC_DETECTIONS, payload)
+    assert (engine.cue_count, engine.dedup_count) == (4, 20)
+    assert built == ["o1", "o2", "o1", "o2"] and len(published) == engine.cue_count

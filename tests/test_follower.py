@@ -22,7 +22,7 @@ from wingman.follower import (
     return_target,
 )
 from wingman.geometry import FrameId, Pose, Vec3, wearable_delta_to_drone_delta
-from wingman.protocol import TOPIC_CMD, CommandMsg, DetachMsg, decode_message, encode_message
+from wingman.protocol import TOPIC_CMD, TOPIC_POSE, CommandMsg, DetachMsg, decode_message, encode_message
 
 
 def wpose(x, z, t, yaw=0.0):
@@ -310,3 +310,29 @@ def test_loop_full_boomerang_over_messages():
     loop2.on_message(TOPIC_CMD, encode_message(detach))
     loop2.on_message(TOPIC_CMD, encode_message(detach))
     assert loop2.protocol_error_count == 1
+
+
+def test_loop_builds_one_command_message_per_published_command(monkeypatch):
+    built = []
+    check = CommandMsg.__post_init__
+
+    def counting_check(msg):
+        built.append(msg.sequence)
+        check(msg)
+
+    payloads = []
+    loop = FollowerLoop(FollowerConfig(max_speed=1.0), publish=lambda topic, payload: payloads.append(payload))
+    detach = encode_message(DetachMsg((Vec3(0.2, 0, 0.0), Vec3(0.2, 0, 0.2)), 0))
+    monkeypatch.setattr(CommandMsg, "__post_init__", counting_check)
+    for k in range(3):
+        loop.on_message(TOPIC_POSE, pose_msg_bytes(k, k * 0.1, 0.02 * k, 0.0))
+    loop.on_message(TOPIC_CMD, detach)
+    while loop.mission.mode is not Mode.FOLLOW and k < 200:
+        k += 1
+        loop.on_message(TOPIC_POSE, pose_msg_bytes(k, k * 0.1, 0.02 * k, 0.0))
+    for k in range(k + 1, k + 4):
+        loop.on_message(TOPIC_POSE, pose_msg_bytes(k, k * 0.1, 0.02 * k, 0.0))
+    sequences = list(built)  # decoding below builds messages too
+    # follow commands before and after the detour, two legs and the return leg
+    assert len(payloads) > 5 and loop.mission.mode is Mode.FOLLOW
+    assert sequences == [decode_message(TOPIC_CMD, payload).sequence for payload in payloads]

@@ -411,3 +411,14 @@ def test_decoded_pose_fields_are_named_by_the_check():
         bad["pose"][key] = value
         with pytest.raises(ValidationError, match=f"^pose.{key}: {re.escape(reason)}"):
             decode_message(TOPIC_POSE, json.dumps(bad).encode())
+
+
+def test_a_wrong_container_type_is_a_validation_error_naming_the_field():
+    xyz = (1.0, 2.0, 3.0)
+    for make, reason in ((lambda: DetachMsg(5, 0), "waypoints: expected a list, got int"),
+                         (lambda: DetectionMsg("a", "b", xyz, 0.5, 1.0), "position: expected a Vec3, got tuple"),
+                         (lambda: PoseMsg("w", "pose", 1), "pose: expected a Pose, got str"),
+                         (lambda: CommandMsg(xyz, 0.0, 1.0, 0), "target: expected a Vec3, got tuple"),
+                         (lambda: DetachMsg([xyz], 0), "waypoints[0]: expected a Vec3, got tuple")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+            make()
