@@ -320,11 +320,18 @@ def _xyz(holder, name: str) -> tuple:
     return holder.x, holder.y, holder.z
 
 
+def _frame_name(frame) -> str:
+    """The wire name of a pose's frame; ValidationError if it is no FrameId."""
+    if not isinstance(frame, FrameId):
+        raise ValidationError(f"pose.frame: expected a FrameId, got {type(frame).__name__}")
+    return frame.value
+
+
 _XYZ = (("x", float, _FINITE), ("y", float, _FINITE), ("z", float, _FINITE))
 _POSE = _Object(
     Pose,
     (("frame", str, _WEARABLE), *_XYZ, ("yaw", float, _FINITE), ("timestamp", float, _NON_NEGATIVE)),
-    lambda pose: (pose.frame.value, *pose.position.as_tuple(), pose.yaw, pose.timestamp),
+    lambda pose: (_frame_name(pose.frame), *pose.position.as_tuple(), pose.yaw, pose.timestamp),
     _decoded_pose,
 )
 

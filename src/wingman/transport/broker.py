@@ -1,15 +1,15 @@
 """QoS-0 broker: session registry, topic fan-out, TCP front-end.
 
-The broker core is transport-agnostic: it consumes raw bytes from
-connection objects (anything with ``send(bytes)`` and ``close()``) and
-writes raw bytes back. ``TcpBrokerServer`` binds it to a stream socket;
-the in-process loopback lives in :mod:`wingman.transport.client`.
+The broker core takes packet objects from connections (anything with
+``send(packet)`` and ``close()``). The in-process loopback passes objects
+both ways and never frames them; the codec runs only on TCP links, where
+``data_received`` decodes a stream and ``_TcpConnection`` writes frames.
 
 A protocol violation terminates the offending session only; the broker
 survives. Dispatch for a single publish is atomic with respect to
-subscription changes. A PUBLISH reaches its subscribers as the frame it
-arrived in, byte for byte; only a frame with a non-minimal remaining
-length is re-encoded, so subscribers always get canonical frames.
+subscription changes. All subscribers get the same ``Publish`` object; a
+TCP peer gets the frame it arrived in, byte for byte, re-encoded only if
+its remaining length is not minimal, so TCP peers get canonical frames.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class SessionError(Exception):
 
 
 class Connection(Protocol):
-    def send(self, data: bytes) -> None: ...
+    def send(self, packet: Packet) -> None: ...
 
     def close(self) -> None: ...
 
@@ -151,11 +151,17 @@ class Broker:
                 self._terminate(conn, f"codec error: {exc}")
                 return
             for packet in packets:
-                try:
-                    self._handle(conn, packet)
-                except ProtocolError as exc:
-                    self._terminate(conn, f"protocol error: {exc}")
-                    return
+                self.packet_received(conn, packet)
+
+    def packet_received(self, conn: Connection, packet: Packet) -> None:
+        """Handle one packet from ``conn``; ignored once ``conn`` is dropped."""
+        with self._lock:
+            if id(conn) not in self._decoders:
+                return
+            try:
+                self._handle(conn, packet)
+            except ProtocolError as exc:
+                self._terminate(conn, f"protocol error: {exc}")
 
     def session_count(self) -> int:
         with self._lock:
@@ -180,23 +186,22 @@ class Broker:
             self._client_ids[id(conn)] = packet.client_id
             self._connections[packet.client_id] = conn
             self.state.add_session(packet.client_id)
-            conn.send(encode_packet(ConnAck()))
+            conn.send(ConnAck())
             return
         if client_id is None:
             raise ProtocolError("first packet must be CONNECT")
         if isinstance(packet, Subscribe):
             self.state.add_subscription(client_id, packet.filter)
-            conn.send(encode_packet(SubAck(packet.packet_id)))
+            conn.send(SubAck(packet.packet_id))
         elif isinstance(packet, Publish):
             if self.on_publish is not None:
                 self.on_publish(packet.topic, packet.payload)
-            data = packet.frame if packet.frame is not None else encode_packet(packet)
             for target_id, _ in broker_dispatch(self.state, client_id, packet):
                 target = self._connections.get(target_id)
                 if target is not None:
-                    target.send(data)
+                    target.send(packet)
         elif isinstance(packet, PingReq):
-            conn.send(encode_packet(PingResp()))
+            conn.send(PingResp())
         elif isinstance(packet, Disconnect):
             self.connection_lost(conn)
             conn.close()
@@ -210,7 +215,8 @@ class _TcpConnection:
         self._sock = sock
         self._send_lock = threading.Lock()
 
-    def send(self, data: bytes) -> None:
+    def send(self, packet: Packet) -> None:
+        data = getattr(packet, "frame", None) or encode_packet(packet)
         try:
             with self._send_lock:
                 self._sock.sendall(data)

@@ -1,4 +1,9 @@
-"""Client session over either an in-process loopback or a TCP socket."""
+"""Client session over either an in-process loopback or a TCP socket.
+
+Clients and transports exchange packet objects: the loopback link never
+frames them, and the codec runs only on TCP links, where the broker still
+forwards each received frame byte for byte.
+"""
 
 from __future__ import annotations
 
@@ -35,69 +40,60 @@ class TransportClosed(Exception):
 class MemoryTransport:
     """In-process duplex link pairing one client with a broker.
 
-    Bytes written by the client are fed to the broker synchronously, and
-    broker output is delivered back inline, so deterministic simulations
-    need no OS networking (or threads).
+    Packets sent by the client are handed to the broker synchronously, and
+    the broker's packets are delivered back inline, as the same objects,
+    so deterministic simulations need no OS networking, threads or framing.
     """
 
     def __init__(self, broker: Broker) -> None:
         self._broker = broker
-        self._receiver: Callable[[bytes], None] | None = None
         self._open = True
         self._conn = _MemoryConnection(self)
         broker.register_connection(self._conn)
 
-    def set_receiver(self, callback: Callable[[bytes], None]) -> None:
-        self._receiver = callback
+    def set_receiver(self, callback: Callable[[Packet], None]) -> None:
+        self._conn.send = callback
 
-    def send(self, data: bytes) -> None:
+    def send(self, packet: Packet) -> None:
         if not self._open:
             raise TransportClosed("loopback link is closed")
-        self._broker.data_received(self._conn, data)
+        self._broker.packet_received(self._conn, packet)
 
     def close(self) -> None:
         if self._open:
             self._open = False
             self._broker.connection_lost(self._conn)
 
-    def _deliver(self, data: bytes) -> None:
-        if self._receiver is not None:
-            self._receiver(data)
-
 
 class _MemoryConnection:
-    """Broker-side half of a :class:`MemoryTransport`."""
+    """Broker-side half of a :class:`MemoryTransport`; ``send`` is the
+    client's receiver, and drops packets until one is set."""
 
     def __init__(self, transport: MemoryTransport) -> None:
         self._transport = transport
-
-    def send(self, data: bytes) -> None:
-        self._transport._deliver(data)
+        self.send: Callable[[Packet], None] = lambda packet: None
 
     def close(self) -> None:
         self._transport._open = False
 
 
 class SocketTransport:
-    """TCP link with a background reader thread."""
+    """TCP link with a background reader thread that decodes the stream."""
 
     def __init__(self, host: str, port: int) -> None:
         self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
         self._sock.settimeout(None)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # small frames
-        self._receiver: Callable[[bytes], None] | None = None
-        self._thread: threading.Thread | None = None
+        self._decoder = PacketDecoder()
         self._open = True
 
-    def set_receiver(self, callback: Callable[[bytes], None]) -> None:
-        self._receiver = callback
-        self._thread = threading.Thread(target=self._read_loop, daemon=True, name="mqtt-reader")
-        self._thread.start()
+    def set_receiver(self, callback: Callable[[Packet], None]) -> None:
+        threading.Thread(target=self._read_loop, args=(callback,), daemon=True, name="mqtt-reader").start()
 
-    def send(self, data: bytes) -> None:
+    def send(self, packet: Packet) -> None:
         if not self._open:
             raise TransportClosed("socket is closed")
-        self._sock.sendall(data)
+        self._sock.sendall(encode_packet(packet))
 
     def close(self) -> None:
         if self._open:
@@ -108,7 +104,7 @@ class SocketTransport:
                 pass
             self._sock.close()
 
-    def _read_loop(self) -> None:
+    def _read_loop(self, receiver: Callable[[Packet], None]) -> None:
         while self._open:
             try:
                 data = self._sock.recv(4096)
@@ -116,8 +112,8 @@ class SocketTransport:
                 return
             if not data:
                 return
-            if self._receiver is not None:
-                self._receiver(data)
+            for packet in self._decoder.feed(data):
+                receiver(packet)
 
 
 class MqttClient:
@@ -137,13 +133,12 @@ class MqttClient:
         self.client_id = client_id
         self.on_message = on_message
         self._transport = transport
-        self._decoder = PacketDecoder()
         self._acks: queue.Queue[Packet] = queue.Queue()
         self._next_packet_id = 1
-        transport.set_receiver(self._on_bytes)
+        transport.set_receiver(self._on_packet)
 
     def connect(self) -> None:
-        self._transport.send(encode_packet(Connect(self.client_id)))
+        self._transport.send(Connect(self.client_id))
         ack = self._wait_ack()
         if not isinstance(ack, ConnAck):
             raise ProtocolError(f"expected CONNACK, got {type(ack).__name__}")
@@ -151,23 +146,23 @@ class MqttClient:
     def subscribe(self, filter_: str) -> None:
         packet_id = self._next_packet_id
         self._next_packet_id = packet_id % 0xFFFF + 1
-        self._transport.send(encode_packet(Subscribe(packet_id, filter_)))
+        self._transport.send(Subscribe(packet_id, filter_))
         ack = self._wait_ack()
         if not isinstance(ack, SubAck) or ack.packet_id != packet_id:
             raise ProtocolError(f"expected SUBACK {packet_id}, got {ack!r}")
 
     def publish(self, topic: str, payload: bytes) -> None:
-        self._transport.send(encode_packet(Publish(topic, payload)))
+        self._transport.send(Publish(topic, payload))
 
     def ping(self) -> None:
-        self._transport.send(encode_packet(PingReq()))
+        self._transport.send(PingReq())
         ack = self._wait_ack()
         if not isinstance(ack, PingResp):
             raise ProtocolError(f"expected PINGRESP, got {type(ack).__name__}")
 
     def disconnect(self) -> None:
         try:
-            self._transport.send(encode_packet(Disconnect()))
+            self._transport.send(Disconnect())
         except (TransportClosed, OSError):
             pass
         self._transport.close()
@@ -178,12 +173,11 @@ class MqttClient:
         except queue.Empty:
             raise TimeoutError("no broker response") from None
 
-    def _on_bytes(self, data: bytes) -> None:
-        for packet in self._decoder.feed(data):
-            if isinstance(packet, Publish):
-                if self.on_message is not None:
-                    self.on_message(packet.topic, packet.payload)
-            elif isinstance(packet, (ConnAck, SubAck, PingResp)):
-                self._acks.put(packet)
-            else:
-                raise ProtocolError(f"broker may not send {type(packet).__name__}")
+    def _on_packet(self, packet: Packet) -> None:
+        if isinstance(packet, Publish):
+            if self.on_message is not None:
+                self.on_message(packet.topic, packet.payload)
+        elif isinstance(packet, (ConnAck, SubAck, PingResp)):
+            self._acks.put(packet)
+        else:
+            raise ProtocolError(f"broker may not send {type(packet).__name__}")

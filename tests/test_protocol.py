@@ -418,6 +418,8 @@ def test_a_wrong_container_type_is_a_validation_error_naming_the_field():
     for make, reason in ((lambda: DetachMsg(5, 0), "waypoints: expected a list, got int"),
                          (lambda: DetectionMsg("a", "b", xyz, 0.5, 1.0), "position: expected a Vec3, got tuple"),
                          (lambda: PoseMsg("w", "pose", 1), "pose: expected a Pose, got str"),
+                         (lambda: PoseMsg("w", Pose(Vec3(), 0.0, "wearable", 0.0), 0),
+                          "pose.frame: expected a FrameId, got str"),
                          (lambda: CommandMsg(xyz, 0.0, 1.0, 0), "target: expected a Vec3, got tuple"),
                          (lambda: DetachMsg([xyz], 0), "waypoints[0]: expected a Vec3, got tuple")):
         with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):

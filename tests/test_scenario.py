@@ -1,9 +1,11 @@
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from wingman import scenario
 from wingman.agents import world_to_drone_frame
 from wingman.geometry import Vec3
 from wingman.protocol import TOPIC_CMD, TOPIC_CUES, TOPIC_DETECTIONS, TOPIC_POSE, canonical_json, decode_message
@@ -18,6 +20,9 @@ from wingman.scenario import (
     write_messages_jsonl,
     write_trace_csv,
 )
+from wingman.transport import MemoryTransport, PacketDecoder, packets
+from wingman.transport import broker as broker_module
+from wingman.transport import client as client_module
 
 
 def test_config_validation_errors():
@@ -216,15 +221,72 @@ SAMPLE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
-def test_sample_config_artifacts_are_pinned(name, tmp_path):
-    configs = Path(__file__).resolve().parent.parent / "configs"
-    run_scenario(load_config(configs / f"{name}.json"), out_dir=tmp_path)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def assert_artifacts_pinned(name, out_dir):
+    run_scenario(load_config(CONFIGS / f"{name}.json"), out_dir=out_dir)
     digests = {
-        artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
+        artifact: hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
         for artifact in SAMPLE_DIGESTS[name]
     }
     assert digests == SAMPLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_sample_config_artifacts_are_pinned(name, tmp_path):
+    assert_artifacts_pinned(name, tmp_path)
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Counts of ``encode_packet`` and ``PacketDecoder.feed`` calls."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (packets, broker_module, client_module):
+        monkeypatch.setattr(module, "encode_packet", counting("encode", module.encode_packet))
+    monkeypatch.setattr(PacketDecoder, "feed", counting("feed", PacketDecoder.feed))
+    return calls
+
+
+class FramingTransport(MemoryTransport):
+    """A loopback link that frames each packet and parses it back on both
+    hops, so the codec stays inside the artifact gate."""
+
+    def __init__(self, broker):
+        super().__init__(broker)
+        self._up = PacketDecoder()
+
+    def send(self, packet):
+        for parsed in self._up.feed(packets.encode_packet(packet)):
+            super().send(parsed)
+
+    def set_receiver(self, callback):
+        down = PacketDecoder()
+
+        def receive(packet):
+            for parsed in down.feed(packets.encode_packet(packet)):
+                callback(parsed)
+
+        super().set_receiver(receive)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_sample_config_artifacts_are_pinned_through_the_codec(name, tmp_path, monkeypatch, codec_calls):
+    monkeypatch.setattr(scenario, "MemoryTransport", FramingTransport)
+    assert_artifacts_pinned(name, tmp_path)
+    assert codec_calls["encode"] == codec_calls["feed"] > 1000
+
+
+def test_loopback_run_neither_frames_nor_parses_a_packet(tmp_path, codec_calls):
+    run_scenario(load_config(CONFIGS / "demo.json"), out_dir=tmp_path)
+    assert codec_calls == {}
 
 
 def test_messages_jsonl_lines_are_canonical_json(tmp_path):

@@ -18,10 +18,12 @@ from wingman.transport import (
 )
 from wingman.transport import broker as broker_module
 from wingman.transport import packets
-from wingman.transport.broker import ROUTE_CACHE_TOPICS
+from wingman.transport.broker import ROUTE_CACHE_TOPICS, _TcpConnection
+from wingman.transport.client import TransportClosed
 from wingman.transport.packets import (
     TOPIC_CACHE_TOPICS,
     Connect,
+    PacketDecoder,
     Subscribe,
     decode_remaining_length,
     encode_packet,
@@ -134,19 +136,42 @@ def test_topic_cache_size_is_capped():
     assert received == topics
 
 
-class RecordingConnection:
-    """A broker-side connection that keeps every frame the broker sends it."""
+class RecordingSocket:
+    """Stands in for a TCP peer: keeps every frame written to it."""
 
-    def __init__(self, broker: Broker, client_id: str) -> None:
+    def __init__(self) -> None:
         self.frames: list[bytes] = []
-        broker.register_connection(self)
-        broker.data_received(self, encode_packet(Connect(client_id)))
+        self.closed = False
 
-    def send(self, data: bytes) -> None:
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def sendall(self, data: bytes) -> None:
         self.frames.append(data)
 
-    def close(self) -> None:
+    def shutdown(self, how: int) -> None:
         pass
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class RecordingConnection(_TcpConnection):
+    """The broker's TCP connection to a recording peer, which connects as
+    ``client_id`` when one is given; ``frames`` are the bytes it received."""
+
+    def __init__(self, broker: Broker, client_id: str | None = None) -> None:
+        self.peer = RecordingSocket()
+        super().__init__(self.peer)
+        self.frames = self.peer.frames
+        broker.register_connection(self)
+        if client_id is not None:
+            broker.data_received(self, encode_packet(Connect(client_id)))
+
+
+def received_payloads(conn: RecordingConnection) -> list[bytes]:
+    packets = PacketDecoder().feed(b"".join(conn.frames))
+    return [packet.payload for packet in packets if isinstance(packet, Publish)]
 
 
 def test_broker_forwards_canonical_frames_and_re_encodes_the_rest(monkeypatch):
@@ -259,26 +284,56 @@ def test_duplicate_client_id_replaces_old_session():
 
 def test_malformed_bytes_kill_only_that_session():
     broker = Broker()
+    good = RecordingConnection(broker, "good")
+    broker.data_received(good, encode_packet(Subscribe(1, "t")))
+
+    bad = RecordingConnection(broker)
+    broker.data_received(bad, bytes([0xF0, 0x00]))  # reserved type straight away
+    assert broker.session_count() == 1  # bad connection never became a session
+    assert bad.peer.closed and bad.frames == []
+
+    broker.data_received(good, encode_packet(Publish("t", b"still alive")))
+    assert received_payloads(good) == [b"still alive"]
+    assert not good.peer.closed
+
+
+def test_publish_before_connect_drops_session():
+    broker = Broker()
+    conn = RecordingConnection(broker)
+    broker.data_received(conn, encode_packet(Publish("t", b"x")))
+    assert broker.session_count() == 0
+    assert conn.peer.closed and conn.frames == []
+
+
+def test_loopback_protocol_violation_kills_only_that_session():
+    broker = Broker()
     received = []
     good = MqttClient(MemoryTransport(broker), "good", on_message=lambda t, p: received.append(p))
     good.connect()
     good.subscribe("t")
 
-    bad_transport = MemoryTransport(broker)
-    bad_transport.send(bytes([0xF0, 0x00]))  # reserved type straight away
-    assert broker.session_count() == 1  # bad connection never became a session
+    bad = MemoryTransport(broker)
+    bad.send(Publish("t", b"before connect"))
+    assert broker.session_count() == 1
+    with pytest.raises(TransportClosed):
+        bad.send(Connect("bad"))
 
     good.publish("t", b"still alive")
     assert received == [b"still alive"]
 
 
-def test_publish_before_connect_drops_session():
+def test_loopback_delivers_the_published_payload_to_every_subscriber():
     broker = Broker()
-    transport = MemoryTransport(broker)
-    from wingman.transport import encode_packet
-
-    transport.send(encode_packet(Publish("t", b"x")))
-    assert broker.session_count() == 0
+    received = []
+    for name in ("a", "b"):
+        sub = MqttClient(MemoryTransport(broker), name, on_message=lambda t, p: received.append(p))
+        sub.connect()
+        sub.subscribe("t")
+    payload = bytes(100)
+    pub = MqttClient(MemoryTransport(broker), "pub")
+    pub.connect()
+    pub.publish("t", payload)
+    assert len(received) == 2 and all(p is payload for p in received)
 
 
 def test_tcp_round_trip():
