@@ -11,8 +11,12 @@ The similarity pipeline, pinned by regression tests:
    (i-1,j), (i,j-1), (i-1,j-1); the distance is the cost sum along the
    optimal boundary-matched path (backtrack ties prefer diagonal, then
    (i-1,j), then (i,j-1)). The accumulated-cost matrix is never stored:
-   the forward pass keeps one byte of backtrack move per cell and fills
-   the cells one anti-diagonal at a time with numpy;
+   the forward pass fills the cells one anti-diagonal at a time with
+   numpy and keeps one byte of backtrack move per computed cell. It
+   skips every cell whose value plus a lower bound on the cost still to
+   come exceeds the cost of one fixed valid path, so on trajectories in
+   sync it computes a narrow band around the optimal path; the distance
+   and path are exactly those of the full recurrence;
 4. similarity = 1 / (1 + distance / path_length).
 
 This mapping is monotone, bounded in (0, 1] and equals 1 exactly at
@@ -36,7 +40,7 @@ ANNOTATION_HEADER = ["frame", "label", "xmin", "ymin", "xmax", "ymax"]
 
 
 class AnnotationError(ValueError):
-    """Malformed annotation CSV content."""
+    """Malformed annotation input: CSV content or frame rate."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,10 @@ class Trajectory:
             raise ValueError("trajectory must have at least one point")
         if len(self.times) != len(self.points):
             raise ValueError("times and points must have equal length")
+        if not all(map(math.isfinite, self.times)):
+            raise ValueError("trajectory times must be finite")
+        if not all(math.isfinite(v) for point in self.points for v in point):
+            raise ValueError("trajectory points must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("trajectory times must be strictly increasing")
 
@@ -81,7 +89,9 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
     Points may be scalars or same-length coordinate tuples (or rows of an
     array); the cost is the Euclidean distance (``math.hypot``). The path
     is monotone and contiguous from (0, 0) to (len(a)-1, len(b)-1).
-    Memory is one byte of backtrack move per cell.
+    Memory is one byte of backtrack move per computed cell: cells that
+    provably cannot lie on the optimal path are never computed, and the
+    distance and path are the same as those of the full recurrence.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("dtw: sequences must be non-empty")
@@ -89,7 +99,7 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
     if A.shape[1] != B.shape[1]:
         raise ValueError("dtw: points must share one dimensionality")
     n, m = len(A), len(B)
-    distance, moves = _dtw_wavefront(A, B)
+    distance, moves, starts = _dtw_wavefront(A, B)
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while i or j:
@@ -98,7 +108,7 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
         elif j == 0:
             i -= 1
         else:
-            move = moves[i * m + j]
+            move = moves[starts[i + j] + i]
             if move == _DIAG:
                 i, j = i - 1, j - 1
             elif move == _UP:
@@ -110,8 +120,14 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
     return distance, path
 
 
-def _dtw_wavefront(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray]:
-    """Fill the recurrence one anti-diagonal at a time: D[n-1, m-1], moves.
+# Cells per block of the lower-bound pass: small blocks stay in cache and
+# bound its memory.
+_BOUND_BLOCK = 1 << 14
+
+
+def _dtw_wavefront(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray, list[int]]:
+    """Fill the recurrence one anti-diagonal at a time, skipping the cells
+    that cannot lie on the optimal path: D[n-1, m-1], moves, starts.
 
     A cell takes the diagonal predecessor if it is no greater than the
     other two, else the upper one if no greater than the left one, else
@@ -120,21 +136,36 @@ def _dtw_wavefront(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray]:
 
     Diagonal k holds the cells (i, k - i). Only the two previous
     diagonals are kept, indexed by row + 1 so that index 0 (row -1) and
-    rows not yet reached read as absent (inf). Costs go through
+    rows not computed read as absent (inf). Costs go through
     ``math.hypot`` cell by cell, because ``np.hypot`` can differ from it
     in the last bit.
+
+    A cell is dropped (set to inf) when its value plus a lower bound on
+    the cost still to come exceeds the cost of a fixed valid path (see
+    ``_prune_bounds``). No cell of the optimal path is ever dropped, and
+    dropping only raises other cells, so every path cell keeps its value
+    and its move. Each diagonal computes only the rows that a live cell
+    of the two previous diagonals reaches. Its moves are appended to
+    ``moves``; the move of cell (i, j) is ``moves[starts[i + j] + i]``.
     """
     n, m = len(A), len(B)
     a_cols = [A[:, k].copy() for k in range(A.shape[1])]
     b_cols = [B[::-1, k].copy() for k in range(B.shape[1])]  # column j at m-1-j
-    moves = bytearray(n * m)
-    flat = np.frombuffer(moves, dtype=np.uint8)
+    limit, row_rest, col_rest = _prune_bounds(A, B)
+    moves = bytearray()
+    starts = [0] * (n + m - 1)
     older = np.full(n + 1, np.inf)  # diagonal k-2
     newer = np.full(n + 1, np.inf)  # diagonal k-1
-    older[0] = 0.0  # so that cell (0, 0) costs c + 0.0
+    older[0] = 0.0  # a virtual cell (-1, -1), so that cell (0, 0) costs c + 0.0
+    # (first, last) rows computed on diagonal k-2 and live on diagonals
+    # k-1 and k-2; an empty range is (n, -1), and the virtual cell stands
+    # for diagonal -2
+    done2 = live2 = (-1, -1)
+    done1 = live1 = (n, -1)
     hypot = math.hypot
     for k in range(n + m - 1):
-        lo, hi = max(0, k - m + 1), min(k, n - 1)
+        lo = max(0, k - m + 1, min(live1[0], live2[0] + 1))
+        hi = min(k, n - 1, max(live1[1], live2[1]) + 1)
         rev = m - 1 - k  # column k - i of B sits at b_cols index rev + i
         # a memoryview yields one float at a time, where tolist() would
         # build every float of the diagonal first
@@ -144,15 +175,83 @@ def _dtw_wavefront(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray]:
         diag, up, left = older[lo:hi + 1], newer[lo:hi + 1], newer[lo + 1:hi + 2]
         up_or_left = np.minimum(up, left)
         # the move rule: _DIAG (0) unless diag is greater than both, else
-        # _UP (1) unless up is greater than left, else _LEFT (2); cells
-        # (i, k - i) for i in lo..hi sit at flat index k + i * (m - 1)
-        np.multiply(diag > up_or_left, _UP + (up > left),
-                    out=flat[k + lo * (m - 1):k + hi * (m - 1) + 1:max(m - 1, 1)], casting="unsafe")
-        older[lo + 1:hi + 2] = cost + np.minimum(diag, up_or_left)
-        if k == 0:
-            older[0] = np.inf
+        # _UP (1) unless up is greater than left, else _LEFT (2)
+        step = np.empty(hi - lo + 1, np.uint8)
+        np.multiply(diag > up_or_left, _UP + (up > left), out=step, casting="unsafe")
+        starts[k] = len(moves) - lo
+        moves += memoryview(step)
+        value = cost + np.minimum(diag, up_or_left)
+        bound = np.maximum(row_rest[lo + 1:hi + 2], col_rest[rev + lo:rev + hi + 1])
+        dropped = np.add(value, bound, out=bound) > limit
+        np.copyto(value, np.inf, where=dropped)
+        older[done2[0] + 1:done2[1] + 2] = np.inf
+        older[lo + 1:hi + 2] = value
+        first = int(dropped.argmin())
+        if dropped[first]:
+            live2, live1 = live1, (n, -1)
+        else:
+            live2, live1 = live1, (lo + first, hi - int(dropped[::-1].argmin()))
+        done2, done1 = done1, (lo, hi)
         older, newer = newer, older
-    return float(newer[n]), moves
+    return float(newer[n]), moves, starts
+
+
+def _prune_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Pruning limit and the per-row and per-column bounds on the cost to come.
+
+    The limit is the cost of one valid path (diagonal steps, then
+    straight), summed as the recurrence sums it, so the optimal D[n-1,
+    m-1] never exceeds it. ``row_rest[r]`` bounds from below the cost of
+    any path from a cell of row r - 1 onwards: the path visits every
+    later row, each at a cost of at least that row's nearest-point
+    distance. ``col_rest`` is the same for columns, reversed as
+    ``b_cols`` is: a cell of column j reads ``col_rest[m - 1 - j]``. If
+    the limit is not finite (a NaN or inf input), it is inf and the
+    bounds are zero, so nothing is dropped.
+
+    Nearest-point distances come from squares in units of 2**e, where
+    2**e exceeds every |coordinate|, so no square overflows. They shrink
+    by a relative margin of 4 (n + m + d + 8) ulps, which covers the
+    rounding of the squares, their sum and root (d + 3 ulps), of
+    ``math.hypot`` (1 ulp), of the suffix sums (under n + m additions),
+    and of the recurrence, which sums a path in its own order in under
+    n + m additions that each round down by at most 1 ulp. They also
+    shrink by what does not round relative to its size: d * 2**-536 in
+    units of 2**e for squares and scaled coordinates below the smallest
+    normal number, then d + 4 units of 2**-1074 for subnormal distances.
+    Shrunk before they are scaled back, they cannot overflow.
+    """
+    n, m, d = len(A), len(B), A.shape[1]
+    steps = np.arange(max(n, m))
+    tour = [memoryview(A[np.minimum(steps, n - 1), k] - B[np.minimum(steps, m - 1), k])
+            for k in range(d)]
+    limit = 0.0
+    for cost in map(math.hypot, *tour):
+        limit = cost + limit
+    if not math.isfinite(limit):
+        return math.inf, np.zeros(n + 1), np.zeros(m + 1)
+    e = math.frexp(max(float(np.abs(A).max()), float(np.abs(B).max())))[1]
+    A, B = np.ldexp(A, -e), np.ldexp(B, -e)  # exact unless a value turns subnormal
+    row_min = np.empty(n)
+    col_min = np.full(m, np.inf)
+    rows = max(1, _BOUND_BLOCK // m)
+    for r0 in range(0, n, rows):
+        block = np.subtract.outer(A[r0:r0 + rows, 0], B[:, 0])
+        block *= block
+        for k in range(1, d):
+            diff = np.subtract.outer(A[r0:r0 + rows, k], B[:, k])
+            diff *= diff
+            block += diff
+        block.min(axis=1, out=row_min[r0:r0 + rows])
+        np.minimum(col_min, block.min(axis=0), out=col_min)
+    margin = 4 * (n + m + d + 8) * math.ulp(1.0)
+    mins = np.sqrt(np.concatenate([row_min, col_min])) * (1 - margin) - math.ldexp(d, -536)
+    mins = np.maximum(np.ldexp(mins, e) - math.ldexp(d + 4, -1074), 0.0)
+    row_rest = np.zeros(n + 1)
+    row_rest[:n] = np.cumsum(mins[n - 1::-1])[::-1]
+    col_rest = np.zeros(m + 1)
+    np.cumsum(mins[:n - 1:-1], out=col_rest[1:])
+    return limit * (1 + margin), row_rest, col_rest
 
 
 def _as_points(seq: Sequence) -> np.ndarray:
@@ -238,8 +337,8 @@ def load_annotations(path: str | Path, fps: float = 30.0) -> dict[str, Trajector
     the box center at t = frame / fps (pixel units). Frames are sorted
     per label; missing frames are allowed and never interpolated.
     """
-    if fps <= 0:
-        raise ValueError(f"fps must be > 0, got {fps}")
+    if not (math.isfinite(fps) and fps > 0):
+        raise AnnotationError(f"fps must be finite and > 0, got {fps}")
     per_label: dict[str, dict[int, tuple[float, float]]] = {}
     for line_no, row in read_headed_csv(path, ANNOTATION_HEADER, AnnotationError):
         try:
@@ -247,6 +346,8 @@ def load_annotations(path: str | Path, fps: float = 30.0) -> dict[str, Trajector
             xmin, ymin, xmax, ymax = (float(v) for v in row[2:6])
         except ValueError as exc:
             raise AnnotationError(f"{path} line {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, (xmin, ymin, xmax, ymax))):
+            raise AnnotationError(f"{path} line {line_no}: non-finite box coordinate")
         if frame < 0:
             raise AnnotationError(f"{path} line {line_no}: negative frame number {frame}")
         if xmax < xmin:

@@ -172,6 +172,15 @@ def test_eval_annotations_parse_error_exits_2(tmp_path, capsys):
     assert main(["eval", "--annotations", str(ann)]) == 2
     capsys.readouterr()
 
+    write_annotations(ann, [(0, "head", 0, 0, 2, 2), (1, "head", "nan", 0, 1, 1),
+                            (0, "drone", 0, 0, 2, 2)])
+    assert main(["eval", "--annotations", str(ann)]) == 2
+    assert "line 3" in capsys.readouterr().err
+    write_annotations(ann, [(0, "head", 0, 0, 2, 2), (0, "drone", 0, 0, 2, 2)])
+    for fps in ("nan", "inf", "0", "-30"):
+        assert main(["eval", "--annotations", str(ann), "--fps", fps]) == 2
+        assert "fps must be finite and > 0" in capsys.readouterr().err
+
 
 def test_eval_trace_round_trip(tmp_path, capsys):
     cfg = tmp_path / "scenario.json"

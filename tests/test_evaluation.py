@@ -216,6 +216,74 @@ def test_dtw_memory_is_one_byte_per_cell():
     assert peak < 12 * 2**20
 
 
+def in_sync_circles(n, lag=0, turns=10, noise=0.02, dim=2, scale=1.0, seed=0):
+    """A noisy circle and a clean copy of it ``lag`` samples behind, as
+    (n, dim) arrays; dim 1 keeps the cosine, dim 3 adds cos(2t)."""
+    t = np.linspace(0.0, 2 * np.pi * turns, n + lag)
+    clean = np.stack([np.cos(t), np.sin(t), np.cos(2 * t)][:dim], axis=1)
+    noisy = clean[lag:] + np.random.default_rng(seed).normal(0.0, noise, (n, dim))
+    return noisy * scale, clean[:n] * scale
+
+
+def count_hypot(monkeypatch):
+    """Patch math.hypot to count its calls: one per computed DTW cell,
+    plus max(n, m) for the bounding path."""
+    calls = [0]
+    hypot = math.hypot
+
+    def counting(*args):
+        calls[0] += 1
+        return hypot(*args)
+
+    monkeypatch.setattr(math, "hypot", counting)
+    return calls
+
+
+def test_pruned_dtw_matches_reference_where_pruning_bites(monkeypatch):
+    rng = random.Random(15)
+    # (a, b, whether the bounds must skip cells)
+    cases = [(*in_sync_circles(160, lag=lag, turns=2, seed=lag), True) for lag in range(6)]
+    # integer periodic sequences: many equal costs, so the tie order decides
+    for period, shift, n, m in [(5, 0, 150, 150), (5, 2, 150, 170), (7, 3, 200, 140)]:
+        cases.append(([k % period for k in range(n)], [(k + shift) % period for k in range(m)], False))
+        cases.append(([(k % period, k % 3) for k in range(n)],
+                      [((k + shift) % period, k % 3) for k in range(m)], False))
+    cases += [(*in_sync_circles(150, lag=2, turns=2, dim=dim), True) for dim in (1, 3)]
+    a, b = in_sync_circles(210, lag=1, turns=3)
+    cases += [(a, b[:170], False), (a[:130], b, False)]
+    cases += [(*in_sync_circles(150, lag=3, turns=2, scale=scale, seed=rng.randrange(100)), True)
+              for scale in (1e-200, 1e150, 1e200)]
+    cases = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float), prunes) for a, b, prunes in cases]
+    expected = [reference_dtw(a.tolist(), b.tolist()) for a, b, _ in cases]
+    calls = count_hypot(monkeypatch)
+    for (a, b, prunes), (ref_distance, ref_path) in zip(cases, expected):
+        calls[0] = 0
+        distance, path = dtw(a, b)
+        assert distance == ref_distance  # bit-identical, not approximate
+        assert path == ref_path
+        if prunes:
+            assert calls[0] < 0.6 * len(a) * len(b)
+
+
+def test_pruned_dtw_computes_few_cells_of_an_in_sync_pair(monkeypatch):
+    a, b = in_sync_circles(2000, lag=1)
+    calls = count_hypot(monkeypatch)
+    dtw(a, b)
+    assert calls[0] < 0.05 * 2000 * 2000
+
+
+def test_pruned_dtw_memory_grows_with_cells_computed():
+    # 4000 x 4000 cells: one byte each would be 16 MB of moves alone
+    a, b = in_sync_circles(4000, lag=1)
+    tracemalloc.start()
+    try:
+        dtw(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 def circle_trajectories(n=32, rotate_by=1):
     times = tuple(k / 10.0 for k in range(n))
     angles = [2 * math.pi * k / n for k in range(n)]
@@ -346,6 +414,11 @@ def test_trajectory_validation():
         Trajectory((0.0, 0.0), ((0, 0), (1, 1)))
     with pytest.raises(ValueError):
         Trajectory((0.0, 1.0), ((0, 0),))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="times"):
+            Trajectory((0.0, bad), ((0, 0), (1, 1)))
+        with pytest.raises(ValueError, match="points"):
+            Trajectory((0.0, 1.0), ((0, 0), (1, bad)))
 
 
 def write_annotations(path, rows):
@@ -415,6 +488,15 @@ def test_load_annotations_errors(tmp_path):
 
     with pytest.raises(ValueError):
         load_annotations(path, fps=0.0)
+
+    for row in [(1, "a", "nan", 0, 1, 1), (1, "a", 0, 0, "inf", 1), (1, "a", 0, "-inf", 1, 1)]:
+        write_annotations(path, [(0, "a", 0, 0, 1, 1), row])
+        with pytest.raises(AnnotationError, match="line 3: non-finite"):
+            load_annotations(path)
+    write_annotations(path, [(0, "a", 0, 0, 1, 1)])
+    for fps in (math.nan, math.inf, -1.0):
+        with pytest.raises(AnnotationError, match="fps"):
+            load_annotations(path, fps=fps)
 
 
 def test_missing_frames_are_allowed(tmp_path):
