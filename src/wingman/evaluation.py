@@ -22,7 +22,12 @@ The similarity pipeline, pinned by regression tests:
 This mapping is monotone, bounded in (0, 1] and equals 1 exactly at
 perfect synchronization. The lag estimate is the integer sample shift
 (positive = second trajectory lags the first) minimizing the mean
-distance between shift-aligned normalized points, in seconds.
+distance between shift-aligned normalized points, in seconds; ties
+prefer the smaller |shift|, then the negative one. Every shift up to
+half the grid is scored. Blocks of consecutive shifts are scored at
+once, as rows of one array of shift-aligned differences, with the same
+float operations per shift as ``np.linalg.norm(diffs, axis=1).mean()``,
+so the scores are those of a loop over the shifts, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from wingman.agents import read_headed_csv
 
@@ -293,27 +299,77 @@ def _prepare(a: Trajectory, b: Trajectory) -> tuple[np.ndarray, np.ndarray, floa
 
 def similarity(a: Trajectory, b: Trajectory) -> float:
     """Shape-and-timing similarity in (0, 1]; 1 means perfectly in sync."""
-    return sync_report(a, b).similarity
+    A, B, _ = _prepare(a, b)
+    return _dtw_similarity(A, B)[1]
+
+
+def _dtw_similarity(A: np.ndarray, B: np.ndarray) -> tuple[float, float, int]:
+    """DTW distance, similarity and path length of prepared trajectories."""
+    distance, path = dtw(A, B)
+    return distance, 1.0 / (1.0 + distance / len(path)), len(path)
+
+
+# Shift-aligned distances per block of the lag search: enough that numpy's
+# per-call cost is small against the work, few enough to bound its memory
+# (one 512 KB array per coordinate column).
+_LAG_BLOCK = 1 << 16
+
+
+def _lag_scores(A: np.ndarray, B: np.ndarray) -> list[float]:
+    """Mean distance of the shift-aligned points for each shift s from
+    -(n // 2) to n // 2, at index s + n // 2.
+
+    Shift s >= 0 pairs A[i] with B[i + s] and shift s < 0 pairs A[i - s]
+    with B[i]. The sign of a difference does not change its square, so
+    shift -t is scored as B[i] - A[i + t].
+    """
+    half = len(A) // 2
+    return _shifted_means(B, A, half)[:0:-1] + _shifted_means(A, B, half)
+
+
+def _shifted_means(fixed: np.ndarray, shifted: np.ndarray, last: int) -> list[float]:
+    """Mean distance of fixed[i] and shifted[i + t] over their n - t pairs,
+    for each t from 0 to ``last``.
+
+    A block of consecutive shifts is scored at once, one shift per row:
+    for each coordinate, the fixed column minus windows over a
+    zero-padded copy of the shifted one (the pairs past n - t read
+    padding and are not scored). The float operations are those of
+    ``np.linalg.norm(diffs, axis=1).mean()`` on the n - t differences:
+    dx*dx + dy*dy per pair, its root, then the pairwise sum of the row's
+    first n - t distances divided by n - t.
+    """
+    n, d = fixed.shape
+    padded = [np.concatenate([shifted[:, k], np.zeros(n)]) for k in range(d)]
+    means: list[float] = []
+    start = 0
+    while start <= last:
+        width = n - start
+        stop = min(last + 1, start + max(1, _LAG_BLOCK // width))
+        dist = None  # drop the last block's rows before making this block's
+        for k in range(d):
+            diff = fixed[:width, k] - sliding_window_view(padded[k], width)[start:stop]
+            diff *= diff
+            dist = diff if dist is None else np.add(dist, diff, out=dist)
+        np.sqrt(dist, out=dist)
+        means += [float(np.add.reduce(row[:n - t]) / (n - t)) for row, t in zip(dist, range(start, stop))]
+        start = stop
+    return means
 
 
 def _lag_samples(A: np.ndarray, B: np.ndarray) -> int:
     """Integer shift minimizing mean distance of shift-aligned points.
 
-    Positive shift means B lags A. Ties prefer the smaller magnitude.
+    Positive shift means B lags A. Ties prefer the smaller magnitude,
+    then the negative shift.
     """
-    n = len(A)
+    half = len(A) // 2
+    scores = _lag_scores(A, B)
     best_shift = 0
     best_score = math.inf
-    for s in sorted(range(-(n // 2), n // 2 + 1), key=lambda v: (abs(v), v)):
-        if s >= 0:
-            diffs = A[: n - s] - B[s:]
-        else:
-            diffs = A[-s:] - B[: n + s]
-        if len(diffs) == 0:
-            continue
-        score = float(np.linalg.norm(diffs, axis=1).mean())
-        if score < best_score:
-            best_score = score
+    for s in sorted(range(-half, half + 1), key=lambda v: (abs(v), v)):
+        if scores[half + s] < best_score:
+            best_score = scores[half + s]
             best_shift = s
     return best_shift
 
@@ -321,13 +377,7 @@ def _lag_samples(A: np.ndarray, B: np.ndarray) -> int:
 def sync_report(a: Trajectory, b: Trajectory) -> SyncReport:
     """Bundle DTW distance, similarity and lag estimate for two paths."""
     A, B, grid_dt = _prepare(a, b)
-    distance, path = dtw(A, B)
-    return SyncReport(
-        dtw_distance=distance,
-        similarity=1.0 / (1.0 + distance / len(path)),
-        path_length=len(path),
-        lag_estimate=_lag_samples(A, B) * grid_dt,
-    )
+    return SyncReport(*_dtw_similarity(A, B), lag_estimate=_lag_samples(A, B) * grid_dt)
 
 
 def load_annotations(path: str | Path, fps: float = 30.0) -> dict[str, Trajectory]:

@@ -26,8 +26,8 @@ extra field raises ValidationError naming the field, as does a payload
 that is not JSON or whose numbers or nesting are too large to represent.
 The decoder restores only nesting and ints in float fields, and leaves
 types and ranges to the check: the constructor's, and for a pose, the
-check that runs before ``Pose`` normalizes its yaw. It never fabricates
-defaults.
+check that runs before ``Pose`` normalizes its yaw, which is the only
+check a decoded pose goes through. It never fabricates defaults.
 """
 
 from __future__ import annotations
@@ -312,6 +312,17 @@ def _decoded_pose(frame, x, y, z, yaw, timestamp) -> Pose:
     return Pose(Vec3(x, y, z), yaw, FrameId.WEARABLE, timestamp)
 
 
+def _decoded_pose_msg(source_id, sequence, pose: Pose) -> PoseMsg:
+    """The PoseMsg a decoded message holds. ``_decoded_pose`` has checked
+    its pose, so only the fields before it are checked here, and the
+    constructor, whose check would walk the pose again, does not run."""
+    _WIRE[PoseMsg].check((source_id, sequence))  # check zips these with the first two wire keys
+    msg = object.__new__(PoseMsg)
+    for name, value in (("source_id", source_id), ("pose", pose), ("sequence", sequence)):
+        object.__setattr__(msg, name, value)
+    return msg
+
+
 def _xyz(holder, name: str) -> tuple:
     """The x, y and z a message writes among its own keys for the Vec3 in
     its field ``name``; ValidationError if that field holds no Vec3."""
@@ -342,7 +353,7 @@ _WIRE: dict[type, _Message] = {wire.cls: wire for wire in (
         PoseMsg, TOPIC_POSE, None,
         (("source_id", str, _NON_EMPTY), ("sequence", int, _UINT64), ("pose", _POSE, _ANY)),
         lambda m: (m.source_id, m.sequence, m.pose),
-        lambda source_id, sequence, pose: PoseMsg(source_id, pose, sequence),
+        _decoded_pose_msg,
     ),
     _Message(
         CommandMsg, TOPIC_CMD, "move",

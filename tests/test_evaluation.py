@@ -6,9 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wingman import evaluation
 from wingman.evaluation import (
     AnnotationError,
     Trajectory,
+    _lag_samples,
+    _lag_scores,
     dtw,
     load_annotations,
     similarity,
@@ -405,6 +408,91 @@ def test_sync_report_invariants():
     assert 0.0 < report.similarity <= 1.0
     assert report.dtw_distance >= 0.0
     assert report.path_length >= max(len(a), len(b))
+
+
+def test_similarity_does_not_search_the_lag(monkeypatch):
+    a, b = circle_trajectories()
+
+    def no_lag_search(A, B):
+        raise AssertionError("similarity() must not search the lag")
+
+    monkeypatch.setattr(evaluation, "_lag_samples", no_lag_search)
+    value = similarity(a, b)
+    assert value == pytest.approx(ROTATED_CIRCLE_SIMILARITY, abs=1e-9)
+    monkeypatch.undo()
+    assert value == sync_report(a, b).similarity  # bit for bit
+
+
+def reference_lag_samples(A, B):
+    """The per-shift loop the blocked lag search replaced, kept verbatim
+    as the reference, plus a record of every shift's score."""
+    n = len(A)
+    best_shift = 0
+    best_score = math.inf
+    scores = {}
+    for s in sorted(range(-(n // 2), n // 2 + 1), key=lambda v: (abs(v), v)):
+        if s >= 0:
+            diffs = A[: n - s] - B[s:]
+        else:
+            diffs = A[-s:] - B[: n + s]
+        if len(diffs) == 0:
+            continue
+        score = float(np.linalg.norm(diffs, axis=1).mean())
+        scores[s] = score
+        if score < best_score:
+            best_score = score
+            best_shift = s
+    return best_shift, scores
+
+
+def assert_lag_matches_reference(A, B):
+    shift, scores = reference_lag_samples(A, B)
+    half = len(A) // 2
+    assert _lag_scores(A, B) == [scores[s] for s in range(-half, half + 1)]  # bit for bit
+    assert _lag_samples(A, B) == shift
+    return shift
+
+
+def test_lag_search_matches_the_per_shift_loop():
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 4, 5, 64, 65, 1001):
+        for scale in (1e-150, 1e-20, 1.0, 1e20, 1e150):
+            noisy, clean = in_sync_circles(n, lag=int(rng.integers(0, 8)), turns=3, scale=scale, seed=n)
+            assert_lag_matches_reference(noisy, clean)
+            assert_lag_matches_reference(*rng.normal(0.0, scale, (2, n, 2)))
+
+
+def test_lag_search_ties_keep_their_order():
+    # an exact tie between s and -s: B is A one sample on, both alternate
+    # between two points, and every aligned pair differs by exactly 0.5
+    A = np.array([(1.0, 2.0), (3.0, -1.0)] * 20)
+    B = np.roll(A, 1, axis=0) + (0.5, 0.0)
+    shift = assert_lag_matches_reference(A, B)
+    scores = _lag_scores(A, B)
+    assert scores[20 + 1] == scores[20 - 1] == 0.5
+    assert shift == -1
+    # a later revolution of a periodic path against an earlier one: B
+    # trails A by one sample, so shifts 1 and 1 + 7 tie exactly
+    ring = [(1.0, 0.0), (0.25, 1.0), (-0.75, 0.5), (-1.0, -0.5), (-0.25, -1.0), (0.5, -0.75), (0.75, 0.25)]
+    A = np.array(ring * 6)
+    B = np.roll(A, 1, axis=0) + (0.0, 0.5)
+    shift = assert_lag_matches_reference(A, B)
+    scores = _lag_scores(A, B)
+    assert scores[21 + 1] == scores[21 + 8] == scores[21 + 15] == 0.5
+    assert shift == 1
+
+
+def test_lag_search_memory_is_bounded():
+    # 4000 x 4000 pairs: the blocks hold about 1 MB; a full distance
+    # matrix would be 128 MB
+    a, b = np.random.default_rng(17).normal(size=(2, 4000, 2))
+    tracemalloc.start()
+    try:
+        _lag_samples(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_trajectory_validation():

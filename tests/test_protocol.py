@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_wire_vec3
+from wingman import protocol
 from wingman.agents import DroneAgent
 from wingman.cueing import AttentionModel, CueEngine
 from wingman.follower import FollowerConfig, FollowerLoop
@@ -411,6 +412,24 @@ def test_decoded_pose_fields_are_named_by_the_check():
         bad["pose"][key] = value
         with pytest.raises(ValidationError, match=f"^pose.{key}: {re.escape(reason)}"):
             decode_message(TOPIC_POSE, json.dumps(bad).encode())
+
+
+def test_a_decoded_pose_is_checked_once(monkeypatch):
+    payload = encode_message(PoseMsg("w", pose_holding(), 7))
+    pose_checks = []
+    check = protocol._Object.check
+
+    def counting_check(self, values, path=""):
+        if self is protocol._POSE:
+            pose_checks.append(path)
+        return check(self, values, path)
+
+    monkeypatch.setattr(protocol._Object, "check", counting_check)
+    msg = decode_message(TOPIC_POSE, payload)
+    assert pose_checks == ["pose."]
+    monkeypatch.undo()
+    assert msg == PoseMsg("w", pose_holding(), 7)
+    assert encode_message(msg) == payload
 
 
 def test_a_wrong_container_type_is_a_validation_error_naming_the_field():
