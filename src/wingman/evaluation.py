@@ -16,7 +16,12 @@ The similarity pipeline, pinned by regression tests:
    skips every cell whose value plus a lower bound on the cost still to
    come exceeds the cost of one fixed valid path, so on trajectories in
    sync it computes a narrow band around the optimal path; the distance
-   and path are exactly those of the full recurrence;
+   and path are exactly those of the full recurrence. The bound sums,
+   over the rows (or columns) still to come, each point's least gap to
+   the other trajectory along one coordinate or in distance from the
+   origin: 1-D nearest-neighbour searches, a sort and a binary search
+   each. Inputs of under ``_BOUND_MIN_CELLS`` cells skip the searches
+   and prune on the fixed path's cost alone;
 4. similarity = 1 / (1 + distance / path_length).
 
 This mapping is monotone, bounded in (0, 1] and equals 1 exactly at
@@ -126,9 +131,9 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
     return distance, path
 
 
-# Cells per block of the lower-bound pass: small blocks stay in cache and
-# bound its memory.
-_BOUND_BLOCK = 1 << 14
+# Fewest cells (n * m) for which ``_prune_bounds`` runs its bound pass:
+# below, the pass costs more than the cells it can save.
+_BOUND_MIN_CELLS = 1 << 12
 
 
 def _dtw_wavefront(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray, list[int]]:
@@ -209,23 +214,26 @@ def _prune_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray, np.n
     straight), summed as the recurrence sums it, so the optimal D[n-1,
     m-1] never exceeds it. ``row_rest[r]`` bounds from below the cost of
     any path from a cell of row r - 1 onwards: the path visits every
-    later row, each at a cost of at least that row's nearest-point
-    distance. ``col_rest`` is the same for columns, reversed as
-    ``b_cols`` is: a cell of column j reads ``col_rest[m - 1 - j]``. If
-    the limit is not finite (a NaN or inf input), it is inf and the
-    bounds are zero, so nothing is dropped.
+    later row, each at a cost of at least that row's bound from
+    ``_nearest_bounds``. ``col_rest`` is the same for columns, reversed
+    as ``b_cols`` is: a cell of column j reads ``col_rest[m - 1 - j]``.
+    If the limit is not finite (a NaN or inf input), it is inf and the
+    bounds are zero, so nothing is dropped. Below ``_BOUND_MIN_CELLS``
+    cells the bounds are zero too, which is valid: the limit alone
+    still drops the cells whose own value exceeds it.
 
-    Nearest-point distances come from squares in units of 2**e, where
-    2**e exceeds every |coordinate|, so no square overflows. They shrink
-    by a relative margin of 4 (n + m + d + 8) ulps, which covers the
-    rounding of the squares, their sum and root (d + 3 ulps), of
-    ``math.hypot`` (1 ulp), of the suffix sums (under n + m additions),
-    and of the recurrence, which sums a path in its own order in under
-    n + m additions that each round down by at most 1 ulp. They also
-    shrink by what does not round relative to its size: d * 2**-536 in
-    units of 2**e for squares and scaled coordinates below the smallest
-    normal number, then d + 4 units of 2**-1074 for subnormal distances.
-    Shrunk before they are scaled back, they cannot overflow.
+    With u = 2**-52, ``_nearest_bounds`` gives per-row values L with
+    L (1 - 4 d u) - (4 d + 2) 2**-1074 at most the kernel's cost of
+    any cell of the row. They shrink by a relative margin of 4 (n + m +
+    d + 8) u, which covers that 4 d u, the rounding of the shrink
+    itself, of the suffix sums (under n + m additions, each up by at
+    most u / 2), of the recurrence, which sums a path in its own order
+    in under n + m additions that each round down by at most u / 2, and
+    of the test ``value + bound > limit``; the limit grows by the same
+    margin. Then they drop by (8 d + 4) 2**-1074, which covers what
+    does not round relative to its size: the subnormal errors of the
+    costs, of the radii and of the shrink. No row value is inf (the
+    tour's cost in that row bounds it), so the sums cannot overflow.
     """
     n, m, d = len(A), len(B), A.shape[1]
     steps = np.arange(max(n, m))
@@ -234,30 +242,71 @@ def _prune_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray, np.n
     limit = 0.0
     for cost in map(math.hypot, *tour):
         limit = cost + limit
+    row_rest, col_rest = np.zeros(n + 1), np.zeros(m + 1)
     if not math.isfinite(limit):
-        return math.inf, np.zeros(n + 1), np.zeros(m + 1)
-    e = math.frexp(max(float(np.abs(A).max()), float(np.abs(B).max())))[1]
-    A, B = np.ldexp(A, -e), np.ldexp(B, -e)  # exact unless a value turns subnormal
-    row_min = np.empty(n)
-    col_min = np.full(m, np.inf)
-    rows = max(1, _BOUND_BLOCK // m)
-    for r0 in range(0, n, rows):
-        block = np.subtract.outer(A[r0:r0 + rows, 0], B[:, 0])
-        block *= block
-        for k in range(1, d):
-            diff = np.subtract.outer(A[r0:r0 + rows, k], B[:, k])
-            diff *= diff
-            block += diff
-        block.min(axis=1, out=row_min[r0:r0 + rows])
-        np.minimum(col_min, block.min(axis=0), out=col_min)
+        return math.inf, row_rest, col_rest
     margin = 4 * (n + m + d + 8) * math.ulp(1.0)
-    mins = np.sqrt(np.concatenate([row_min, col_min])) * (1 - margin) - math.ldexp(d, -536)
-    mins = np.maximum(np.ldexp(mins, e) - math.ldexp(d + 4, -1074), 0.0)
-    row_rest = np.zeros(n + 1)
-    row_rest[:n] = np.cumsum(mins[n - 1::-1])[::-1]
-    col_rest = np.zeros(m + 1)
-    np.cumsum(mins[:n - 1:-1], out=col_rest[1:])
+    if n * m >= _BOUND_MIN_CELLS:
+        mins = np.concatenate([_nearest_bounds(A, B), _nearest_bounds(B, A)])
+        mins = np.maximum(mins * (1 - margin) - math.ldexp(8 * d + 4, -1074), 0.0)
+        row_rest[:n] = np.cumsum(mins[n - 1::-1])[::-1]
+        np.cumsum(mins[:n - 1:-1], out=col_rest[1:])
     return limit * (1 + margin), row_rest, col_rest
+
+
+def _nearest_bounds(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """A lower bound on the distance from each point of P to its nearest
+    point of Q, from nearest-neighbour searches in one dimension.
+
+    Each 1-Lipschitz projection f, |f(p) - f(q)| <= |p - q|, bounds the
+    distance by min over q of |f(p) - f(q)|: a sort of f(Q), then
+    ``_nearest_gaps``. The projections are each coordinate and, for two
+    or more, the distance from the origin (where ``_prepare`` puts each
+    centroid); the bound is the largest of them (the envelope of
+    LB_Keogh, Keogh & Ratanamahatana, KAIS 2005, used for pruning as in
+    Herrmann & Webb, DMKD 2021).
+
+    Floats, with u = 2**-52 and the kernel's cost of a cell c =
+    ``math.hypot`` (under 1 ulp of error) of the rounded differences
+    fl(p_k - q_k):
+    - a coordinate gap is the least |fl(p_k - q_k)| of the row, the very
+      value the kernel passes to ``math.hypot``, so c >= gap (1 - u) -
+      2**-1074;
+    - the radius R = ``np.hypot`` of the coordinates rounds relative to
+      the radius r, not to the distance t = |p - q|: allowing 4 ulps per
+      ``np.hypot`` call (libm's errs by under 1), |R - r| <= rho r +
+      tau with rho = 4 (d - 1) u and tau under 2 d subnormal units. As
+      |r(p) - r(q)| <= t and r(q) <= r(p) + t, the radius gap is at
+      most (1 + u / 2) ((1 + rho) t + 2 rho r(p) + 2 tau), and t (1 - u)
+      is at most c + 2**-1074, since each difference rounds by at most u
+      / 2 relative and exactly when subnormal. So the gap less 8 d u
+      R(p), which exceeds 2 rho r(p) and its rounding, satisfies the
+      bound that ``_prune_bounds`` states;
+    - a radius that overflows (coordinates near the float maximum) drops
+      that projection; the differences of a neighbour that is not the
+      nearest may overflow to inf and are never the minimum.
+    """
+    d = P.shape[1]
+    with np.errstate(over="ignore"):
+        bound = np.zeros(len(P))
+        for k in range(d):
+            np.maximum(bound, _nearest_gaps(P[:, k], Q[:, k]), out=bound)
+        if d > 1:
+            p_radius, q_radius = np.hypot.reduce(P, axis=1), np.hypot.reduce(Q, axis=1)
+            if np.isfinite(p_radius).all() and np.isfinite(q_radius).all():
+                gaps = _nearest_gaps(p_radius, q_radius)
+                np.maximum(bound, gaps - 8 * d * math.ulp(1.0) * p_radius, out=bound)
+    return bound
+
+
+def _nearest_gaps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """min over j of |p[i] - q[j]| for each i, from the two neighbours of
+    p[i] in sorted q (a difference rounds monotonically, so the nearest
+    rounded difference is one of theirs)."""
+    q = np.sort(q)
+    above = np.minimum(np.searchsorted(q, p), len(q) - 1)
+    below = np.maximum(above - 1, 0)
+    return np.minimum(np.abs(p - q[below]), np.abs(p - q[above]))
 
 
 def _as_points(seq: Sequence) -> np.ndarray:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -268,6 +269,25 @@ def test_pruned_dtw_matches_reference_where_pruning_bites(monkeypatch):
             assert calls[0] < 0.6 * len(a) * len(b)
 
 
+def test_pruned_dtw_prunes_alike_at_any_scale(monkeypatch):
+    # near-concentric circles, as normalized human and drone paths are,
+    # where the distance from the origin gives most of the bound; a power
+    # of two scales every float operation exactly, so the same cells must
+    # be computed, however large or small the squares of the coordinates
+    a, b = in_sync_circles(150, lag=2, turns=2)
+    b = b * 0.85
+    expected = dtw(a, b)
+    calls = count_hypot(monkeypatch)
+    counts = []
+    for scale in (1.0, 2.0**660, 2.0**-660):
+        calls[0] = 0
+        distance, path = dtw(a * scale, b * scale)
+        assert (distance, path) == (expected[0] * scale, expected[1])
+        counts.append(calls[0])
+    assert counts[0] < 0.3 * 150 * 150
+    assert counts == counts[:1] * 3
+
+
 def test_pruned_dtw_computes_few_cells_of_an_in_sync_pair(monkeypatch):
     a, b = in_sync_circles(2000, lag=1)
     calls = count_hypot(monkeypatch)
@@ -285,6 +305,79 @@ def test_pruned_dtw_memory_grows_with_cells_computed():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def bound_cases():
+    """(A, B) point pairs, as (n, d) arrays, that stress the pruning bounds."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for d in (1, 2, 3):
+        for scale in (1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e150, 1e300):
+            n, m = rng.integers(1, 40, size=2)
+            cases.append((rng.normal(size=(n, d)) * scale, rng.normal(size=(m, d)) * scale))
+        # subnormal coordinates: small multiples of the least subnormal
+        cases.append((rng.integers(-40, 40, size=(30, d)) * math.ulp(0.0),
+                      rng.integers(-40, 40, size=(25, d)) * math.ulp(0.0)))
+        # duplicate points, within each side and across them
+        a = rng.normal(size=(20, d))
+        cases.append((np.concatenate([a, a[:5]]), np.concatenate([a[3:12], a[3:6]])))
+        # near the float maximum: differences across the sign overflow (but
+        # not on the bounding path, which pairs equal signs), and from d = 2
+        # on the radius of 1.5e308 does
+        for big in (1e308, 1.5e308):
+            near = big + rng.normal(size=(20, d)) * 1e300
+            cases.append((np.concatenate([near[:10], -near]),
+                          np.concatenate([near[::2] * (1 + 2**-40), -near[1::2]])))
+        if d > 1:
+            # nearly equal radius: the same rays, a few ulps longer or
+            # shorter, or turned by a few ulps
+            for scale in (1e-300, 1.0, 1e300):
+                rays = rng.normal(size=(30, d)) * scale
+                longer = rays[rng.permutation(30)[:20]] * (1 + rng.integers(-4, 5, size=(20, 1)) * 2.0**-52)
+                turned = rays + rays[:, ::-1] * np.array([1.0, -1.0, 1.0][:d]) * 2.0**-50
+                cases += [(rays, longer), (rays, turned)]
+    return cases
+
+
+def kernel_costs(A, B):
+    """Every cell's cost as the DTW kernel computes it."""
+    return np.array([[math.hypot(*(x - y for x, y in zip(p, q))) for q in B.tolist()]
+                     for p in A.tolist()]).reshape(len(A), len(B))
+
+
+def test_pruning_bounds_never_exceed_the_kernels_costs(monkeypatch):
+    monkeypatch.setattr(evaluation, "_BOUND_MIN_CELLS", 0)
+    u, tiny = math.ulp(1.0), math.ulp(0.0)
+    for A, B in bound_cases():
+        d = A.shape[1]
+        costs = kernel_costs(A, B)
+        n, m = costs.shape
+        row_min, col_min = costs.min(axis=1), costs.min(axis=0)
+        # the per-point values, with the margin their derivation states
+        for bounds, mins in ((evaluation._nearest_bounds(A, B), row_min),
+                             (evaluation._nearest_bounds(B, A), col_min)):
+            assert (bounds * (1 - 4 * d * u) - (4 * d + 2) * tiny <= mins).all(), (A, B)
+        # the suffix sums the kernel reads, against exact sums of the minima
+        _, row_rest, col_rest = evaluation._prune_bounds(A, B)
+        assert all(row_rest[r] <= math.fsum(row_min[r:]) for r in range(n + 1)), (A, B)
+        assert all(col_rest[t] <= math.fsum(col_min[m - t:]) for t in range(m + 1)), (A, B)
+
+
+def test_pruning_bounds_are_skipped_on_small_inputs():
+    a, b = in_sync_circles(80, lag=1, turns=1)
+    _, row_rest, col_rest = evaluation._prune_bounds(a[:6], b[:5])
+    assert not row_rest.any() and not col_rest.any()
+    _, row_rest, col_rest = evaluation._prune_bounds(a, b)
+    assert row_rest[0] > 0 and col_rest[-1] > 0
+
+
+def test_pruning_bounds_of_a_long_pair_take_little_time():
+    # 200,000 x 200,000 cells: a pass over every cell takes minutes
+    a, b = in_sync_circles(200_000, lag=1, turns=100)
+    start = time.perf_counter()
+    _, row_rest, col_rest = evaluation._prune_bounds(a, b)
+    assert time.perf_counter() - start < 20.0
+    assert row_rest[0] > 0 and col_rest[-1] > 0
 
 
 def circle_trajectories(n=32, rotate_by=1):
