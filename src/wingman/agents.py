@@ -16,6 +16,7 @@ Yaw values use the shared heading convention (see wingman.geometry).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 import threading
@@ -418,21 +419,35 @@ def read_headed_csv(
 ) -> list[tuple[int, list[str]]]:
     """(line number, fields) of each data row of a CSV file with ``header``.
 
-    Blank lines are skipped; a bad header or field count raises ``error``.
+    Blank lines are skipped; a bad header or field count, or a file that
+    is not UTF-8, raises ``error``.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise error(f"{path}: empty file, expected header {','.join(header)}") from None
-        if [h.strip() for h in first] != header:
-            raise error(f"{path}: expected header {','.join(header)}, got {','.join(first)}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise error(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
-            rows.append((line_no, row))
+    reader = csv.reader(io.StringIO(read_utf8(path, error), newline=""))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise error(f"{path}: empty file, expected header {','.join(header)}") from None
+    if [h.strip() for h in first] != header:
+        raise error(f"{path}: expected header {','.join(header)}, got {','.join(first)}")
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise error(f"{path} line {line_no}: expected {len(header)} fields, got {len(row)}")
+        rows.append((line_no, row))
     return rows
+
+
+def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
+    """The text of a UTF-8 file, whatever the locale.
+
+    A byte sequence that is not UTF-8 raises ``error`` naming the path and
+    the line it is on.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path} line {line}: not UTF-8 text: {exc}") from exc

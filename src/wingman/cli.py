@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from wingman.evaluation import AnnotationError, load_annotations, sync_report
@@ -18,6 +19,7 @@ from wingman.scenario import (
     broker_port_default,
     config_from_dict,
     load_config,
+    open_artifact,
     read_trace_csv,
     report_summary,
     run_scenario,
@@ -220,16 +222,12 @@ def _cmd_gen(args) -> int:
     # no broker here: a fixed port keeps WINGMAN_BROKER_PORT from being read
     cfg = config_from_dict({"broker_port": DEFAULT_PORT, **_overrides(args)})
     spec = cfg.trajectory
-    lines = ["t,x,y,z"]
-    for k in range(int(round(cfg.duration * spec.rate))):
-        t = k / spec.rate
-        p = spec.kind.position(t)
-        lines.append(",".join(format_float(v) for v in (t, p.x, p.y, p.z)))
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text)
+    with nullcontext(sys.stdout) if args.out is None else open_artifact(args.out) as fh:
+        fh.write("t,x,y,z\n")
+        for k in range(int(round(cfg.duration * spec.rate))):
+            t = k / spec.rate
+            p = spec.kind.position(t)
+            fh.write(",".join(format_float(v) for v in (t, p.x, p.y, p.z)) + "\n")
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import TextIO
 
 from wingman.agents import (
     Circle,
@@ -38,6 +39,7 @@ from wingman.agents import (
     load_waypoints_csv,
     load_world_csv,
     read_headed_csv,
+    read_utf8,
 )
 from wingman.cueing import AttentionModel, CueEngine
 from wingman.evaluation import SyncReport, Trajectory, sync_report
@@ -271,14 +273,19 @@ def _run(cfg: ScenarioConfig) -> RunTrace:
     return core.trace
 
 
+def open_artifact(path: str | Path) -> TextIO:
+    """Open ``path`` to write an artifact: UTF-8 whatever the locale, lines end in ``\\n``."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
-    lines = [TRACE_HEADER]
-    for row in trace.rows:
-        h, d = row.human, row.drone
-        values = [row.t, h.position.x, h.position.y, h.position.z, h.yaw,
-                  d.position.x, d.position.y, d.position.z, d.yaw]
-        lines.append(",".join(format_float(v) for v in values) + f",{row.mode}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open_artifact(path) as fh:
+        fh.write(TRACE_HEADER + "\n")
+        for row in trace.rows:
+            h, d = row.human, row.drone
+            values = [row.t, h.position.x, h.position.y, h.position.z, h.yaw,
+                      d.position.x, d.position.y, d.position.z, d.yaw]
+            fh.write(",".join(format_float(v) for v in values) + f",{row.mode}\n")
 
 
 def read_trace_csv(path: str | Path) -> RunTrace:
@@ -310,19 +317,23 @@ def write_report_json(report: SyncReport, path: str | Path) -> None:
         "path_length": report.path_length,
         "lag_estimate": report.lag_estimate,
     }
-    Path(path).write_text(canonical_json(doc) + "\n")
+    with open_artifact(path) as fh:
+        fh.write(canonical_json(doc) + "\n")
 
 
 def write_messages_jsonl(trace: RunTrace, path: str | Path) -> None:
-    """One line per message, as canonical_json({"t": t, "topic": topic, "payload": text})."""
+    """One line per message, as canonical_json({"t": t, "topic": topic, "payload": text}).
+
+    Each line goes to the file as soon as it is rendered, so the file is
+    never held in memory whole.
+    """
     heads: dict[str, str] = {}  # each topic escaped once
-    lines = []
-    for t, topic, payload in trace.messages:
-        head = heads.get(topic)
-        if head is None:
-            head = heads[topic] = f',"topic":{encode_basestring(topic)},"payload":'
-        lines.append('{"t":' + render_float(t) + head + encode_basestring(payload.decode("utf-8")) + "}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    with open_artifact(path) as fh:
+        for t, topic, payload in trace.messages:
+            head = heads.get(topic)
+            if head is None:
+                head = heads[topic] = f',"topic":{encode_basestring(topic)},"payload":'
+            fh.write('{"t":' + render_float(t) + head + encode_basestring(payload.decode("utf-8")) + "}\n")
 
 
 def report_summary(report: SyncReport, ticks: int | None = None) -> str:
@@ -356,7 +367,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConf
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_utf8(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

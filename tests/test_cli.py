@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wingman
 from wingman.cli import main
 
 
@@ -122,6 +127,15 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
     unknown.write_text(json.dumps({"duration": 1.0, "typo_key": 1}))
     assert main(["run", "--config", str(unknown)]) == 2
     capsys.readouterr()
+    # input that is not UTF-8 names its file and line
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"duration": 1.0,\n "world": [{"id": "c", "label": "caf\xe9", "x": 0, "y": 0, "z": 1}]}')
+    assert main(["run", "--config", str(latin1)]) == 2
+    assert f"{latin1} line 2: not UTF-8" in capsys.readouterr().err
+    world = tmp_path / "latin1.csv"
+    world.write_bytes(b"id,label,x,y,z\nc,caf\xe9,0,0,1\n")
+    assert main(["run", "--world-csv", str(world), "--duration", "1"]) == 2
+    assert f"{world} line 2: not UTF-8" in capsys.readouterr().err
 
 
 def test_run_sockets_bind_failure_exits_3(capsys):
@@ -176,6 +190,9 @@ def test_eval_annotations_parse_error_exits_2(tmp_path, capsys):
                             (0, "drone", 0, 0, 2, 2)])
     assert main(["eval", "--annotations", str(ann)]) == 2
     assert "line 3" in capsys.readouterr().err
+    ann.write_bytes(b"frame,label,xmin,ymin,xmax,ymax\n0,head,0,0,2,2\n0,caf\xe9,0,0,2,2\n")
+    assert main(["eval", "--annotations", str(ann)]) == 2
+    assert f"{ann} line 3: not UTF-8" in capsys.readouterr().err
     write_annotations(ann, [(0, "head", 0, 0, 2, 2), (0, "drone", 0, 0, 2, 2)])
     for fps in ("nan", "inf", "0", "-30"):
         assert main(["eval", "--annotations", str(ann), "--fps", fps]) == 2
@@ -216,6 +233,36 @@ def test_eval_trace_rejects_foreign_csv(tmp_path, capsys):
     assert main(["eval", "--trace", str(bogus)]) == 2
     assert main(["eval", "--trace", str(tmp_path / "none.csv")]) == 2
     capsys.readouterr()
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"t,hx,hy,hz,hyaw,dx,dy,dz,dyaw,mode\n0,0,0,0,0,0,0,0,0,FOLLOW\n0.1,0,0,0,0,0,0,0,0,caf\xe9\n")
+    assert main(["eval", "--trace", str(latin1)]) == 2
+    assert f"{latin1} line 3: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("world_in", ["config", "csv"])
+def test_run_artifacts_are_utf8_under_an_ascii_locale(world_in, tmp_path, capsys):
+    doc = {"duration": 2.0, "detector": {"fov": 2 * math.pi}}
+    if world_in == "csv":
+        (tmp_path / "world.csv").write_bytes("id,label,x,y,z\nc1,café,0,0,1\n".encode("utf-8"))
+        doc["world_csv"] = "world.csv"
+    else:
+        doc["world"] = [{"id": "c1", "label": "café", "x": 0.0, "y": 0.0, "z": 1.0}]
+    cfg = tmp_path / "cafe.json"
+    cfg.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    src = str(Path(wingman.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # an ASCII locale with Python's UTF-8 coercion and UTF-8 mode both off
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wingman.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "ascii")],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "default")]) == 0
+    capsys.readouterr()
+    for name in ("trace.csv", "report.json", "messages.jsonl"):
+        assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    assert "café".encode("utf-8") in (tmp_path / "default" / "messages.jsonl").read_bytes()
 
 
 def test_bad_port_env_only_fails_commands_that_read_it(monkeypatch, capsys):

@@ -1,18 +1,30 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import pytest
 
 from wingman import scenario
 from wingman.agents import world_to_drone_frame
-from wingman.geometry import Vec3
-from wingman.protocol import TOPIC_CMD, TOPIC_CUES, TOPIC_DETECTIONS, TOPIC_POSE, canonical_json, decode_message
+from wingman.geometry import FrameId, Pose, Vec3
+from wingman.protocol import (
+    TOPIC_CMD,
+    TOPIC_CUES,
+    TOPIC_DETECTIONS,
+    TOPIC_POSE,
+    canonical_json,
+    decode_message,
+    format_float,
+    render_float,
+)
 from wingman.scenario import (
     ConfigError,
     RunTrace,
     ScenarioConfig,
+    TraceRow,
     broker_port_default,
     config_from_dict,
     load_config,
@@ -289,19 +301,21 @@ def test_loopback_run_neither_frames_nor_parses_a_packet(tmp_path, codec_calls):
     assert codec_calls == {}
 
 
+ODD_MESSAGES = [
+    (0.0, TOPIC_POSE, b'{"v":1}'),
+    (1 / 3, 'odd/"topic"/\u00e9\u4e2d', '{"label":"caf\u00e9 \\"q\\"\\n"}'.encode()),
+    (12345678901.5, TOPIC_POSE, "\u2028\x7f\U0001f600".encode()),
+    (7, TOPIC_CUES, b""),
+    (1e-300, 'odd/"topic"/\u00e9\u4e2d', b"{}"),
+]
+
+
 def test_messages_jsonl_lines_are_canonical_json(tmp_path):
-    messages = [
-        (0.0, TOPIC_POSE, b'{"v":1}'),
-        (1 / 3, 'odd/"topic"/\u00e9\u4e2d', '{"label":"caf\u00e9 \\"q\\"\\n"}'.encode()),
-        (12345678901.5, TOPIC_POSE, "\u2028\x7f\U0001f600".encode()),
-        (7, TOPIC_CUES, b""),
-        (1e-300, 'odd/"topic"/\u00e9\u4e2d', b"{}"),
-    ]
     path = tmp_path / "messages.jsonl"
-    write_messages_jsonl(RunTrace(messages=messages), path)
-    assert path.read_text() == "".join(
+    write_messages_jsonl(RunTrace(messages=ODD_MESSAGES), path)
+    assert path.read_text(encoding="utf-8") == "".join(
         canonical_json({"t": t, "topic": topic, "payload": payload.decode("utf-8")}) + "\n"
-        for t, topic, payload in messages
+        for t, topic, payload in ODD_MESSAGES
     )
     write_messages_jsonl(RunTrace(), path)
     assert path.read_text() == ""
@@ -318,6 +332,79 @@ def test_trace_csv_format(tmp_path):
     assert first[0] == "0"
     assert first[-1] == "FOLLOW"
     assert len(first) == 10
+
+
+def joined_messages_jsonl(trace: RunTrace) -> str:
+    """The list-and-join messages.jsonl writer, kept as the reference."""
+    heads: dict[str, str] = {}  # each topic escaped once
+    lines = []
+    for t, topic, payload in trace.messages:
+        head = heads.get(topic)
+        if head is None:
+            head = heads[topic] = f',"topic":{encode_basestring(topic)},"payload":'
+        lines.append('{"t":' + render_float(t) + head + encode_basestring(payload.decode("utf-8")) + "}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def joined_trace_csv(trace: RunTrace) -> str:
+    """The list-and-join trace.csv writer, kept as the reference."""
+    lines = [scenario.TRACE_HEADER]
+    for row in trace.rows:
+        h, d = row.human, row.drone
+        values = [row.t, h.position.x, h.position.y, h.position.z, h.yaw,
+                  d.position.x, d.position.y, d.position.z, d.yaw]
+        lines.append(",".join(format_float(v) for v in values) + f",{row.mode}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("messages", [[], ODD_MESSAGES[1:2], ODD_MESSAGES],
+                         ids=["empty", "single", "non-ascii"])
+def test_streamed_writers_match_the_joined_text(messages, tmp_path):
+    trace = run_scenario(base_cfg(duration=1.0))[0] if messages else RunTrace()
+    trace.messages[:] = messages
+    write_messages_jsonl(trace, tmp_path / "messages.jsonl")
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "messages.jsonl").read_bytes() == joined_messages_jsonl(trace).encode("utf-8")
+    assert (tmp_path / "trace.csv").read_bytes() == joined_trace_csv(trace).encode("utf-8")
+
+
+# A writer holds one rendered line at a time; the joined text of these
+# traces is about 10 MB (messages) and 2 MB (rows).
+WRITER_PEAK_BOUND = 1 << 20
+
+
+def traced_peak(write, trace, path) -> int:
+    """Bytes that ``write(trace, path)`` holds at its peak, by tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        write(trace, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - before
+
+
+def test_writers_hold_no_copy_of_the_file(tmp_path):
+    payload = b'{"confidence":0.9,"label":"box","object_id":"obj%05d","position":{"x":1.25,"y":0.0,"z":-3.5},"t":%d.5}'
+    messages = [(k / 10, TOPIC_DETECTIONS, payload % (k % 500, k // 10)) for k in range(50_000)]
+    path = tmp_path / "messages.jsonl"
+    assert traced_peak(write_messages_jsonl, RunTrace(messages=messages), path) < WRITER_PEAK_BOUND
+    assert path.stat().st_size > 8 * WRITER_PEAK_BOUND
+
+    rows = []
+    for k in range(20_000):
+        t = k / 10
+        human = Pose(Vec3(k * 1e-3, 0.0, -k * 2e-3), 0.25, FrameId.WORLD, t)
+        drone = Pose(Vec3(k * 1e-3 - 1.0, 0.5, -k * 2e-3), -1.5, FrameId.WORLD, t)
+        rows.append(TraceRow(t, human, drone, None, "FOLLOW"))
+    path = tmp_path / "trace.csv"
+    assert traced_peak(write_trace_csv, RunTrace(rows=rows), path) < WRITER_PEAK_BOUND
+    assert path.stat().st_size > WRITER_PEAK_BOUND
 
 
 def test_sockets_mode_smoke():
