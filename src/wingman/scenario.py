@@ -325,7 +325,8 @@ def write_messages_jsonl(trace: RunTrace, path: str | Path) -> None:
     """One line per message, as canonical_json({"t": t, "topic": topic, "payload": text}).
 
     Each line goes to the file as soon as it is rendered, so the file is
-    never held in memory whole.
+    never held in memory whole. A payload that is not UTF-8 (any TCP peer
+    may publish one) keeps its undecodable bytes as ``\\xNN`` escapes.
     """
     heads: dict[str, str] = {}  # each topic escaped once
     with open_artifact(path) as fh:
@@ -333,7 +334,7 @@ def write_messages_jsonl(trace: RunTrace, path: str | Path) -> None:
             head = heads.get(topic)
             if head is None:
                 head = heads[topic] = f',"topic":{encode_basestring(topic)},"payload":'
-            fh.write('{"t":' + render_float(t) + head + encode_basestring(payload.decode("utf-8")) + "}\n")
+            fh.write('{"t":' + render_float(t) + head + encode_basestring(payload.decode("utf-8", "backslashreplace")) + "}\n")
 
 
 def report_summary(report: SyncReport, ticks: int | None = None) -> str:

@@ -10,11 +10,20 @@ survives. Dispatch for a single publish is atomic with respect to
 subscription changes. All subscribers get the same ``Publish`` object; a
 TCP peer gets the frame it arrived in, byte for byte, re-encoded only if
 its remaining length is not minimal, so TCP peers get canonical frames.
+
+One thread, ``broker-loop``, serves every TCP connection with a
+``selectors`` loop: it accepts, reads, hands the bytes to the broker and
+writes. Sends never block. Bytes a peer's socket does not take at once wait
+in that connection's buffer; once it holds ``OUTBOUND_LIMIT`` bytes, each
+further PUBLISH for that peer is dropped whole and counted (QoS 0 is "at
+most once"), while CONNACK, SUBACK and PINGRESP always queue. So a peer
+that stops reading loses its own messages and stalls nobody else.
 """
 
 from __future__ import annotations
 
 import logging
+import selectors
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -40,6 +49,7 @@ from wingman.transport.packets import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_PORT = 1883
+OUTBOUND_LIMIT = 1 << 20  # bytes a TCP peer may leave unread before its publishes drop
 
 
 class SessionError(Exception):
@@ -124,29 +134,25 @@ class Broker:
         self.state = BrokerState()
         self.on_publish: Callable[[str, bytes], None] | None = None
         self._lock = threading.RLock()
-        self._decoders: dict[int, PacketDecoder] = {}
-        self._client_ids: dict[int, str] = {}
+        self._client_ids: dict[Connection, str | None] = {}  # live connection -> id once CONNECTed
         self._connections: dict[str, Connection] = {}
 
     def register_connection(self, conn: Connection) -> None:
         with self._lock:
-            self._decoders[id(conn)] = PacketDecoder()
+            self._client_ids[conn] = None
 
     def connection_lost(self, conn: Connection) -> None:
         with self._lock:
-            self._decoders.pop(id(conn), None)
-            client_id = self._client_ids.pop(id(conn), None)
+            client_id = self._client_ids.pop(conn, None)
             if client_id is not None and self._connections.get(client_id) is conn:
                 self._connections.pop(client_id, None)
                 self.state.remove_session(client_id)
 
-    def data_received(self, conn: Connection, data: bytes) -> None:
+    def data_received(self, conn: _TcpConnection, data: bytes) -> None:
+        """Decode a chunk of ``conn``'s stream and handle each whole packet."""
         with self._lock:
-            decoder = self._decoders.get(id(conn))
-            if decoder is None:
-                return
             try:
-                packets = decoder.feed(data)
+                packets = conn.decoder.feed(data)
             except ProtocolError as exc:
                 self._terminate(conn, f"codec error: {exc}")
                 return
@@ -156,7 +162,7 @@ class Broker:
     def packet_received(self, conn: Connection, packet: Packet) -> None:
         """Handle one packet from ``conn``; ignored once ``conn`` is dropped."""
         with self._lock:
-            if id(conn) not in self._decoders:
+            if conn not in self._client_ids:
                 return
             try:
                 self._handle(conn, packet)
@@ -176,14 +182,14 @@ class Broker:
             pass
 
     def _handle(self, conn: Connection, packet: Packet) -> None:
-        client_id = self._client_ids.get(id(conn))
+        client_id = self._client_ids[conn]
         if isinstance(packet, Connect):
             if client_id is not None:
                 raise ProtocolError("second CONNECT on one connection")
             old = self._connections.get(packet.client_id)
             if old is not None:
                 self._terminate(old, f"session taken over by new {packet.client_id!r}")
-            self._client_ids[id(conn)] = packet.client_id
+            self._client_ids[conn] = packet.client_id
             self._connections[packet.client_id] = conn
             self.state.add_session(packet.client_id)
             conn.send(ConnAck())
@@ -210,106 +216,118 @@ class Broker:
 
 
 class _TcpConnection:
-    def __init__(self, sock: socket.socket) -> None:
+    """The broker's end of one TCP link, served by the broker loop.
+
+    ``send`` never blocks. What the socket does not take at once waits in
+    ``pending`` until the loop sees the socket writable; a PUBLISH that
+    would take ``pending`` past ``OUTBOUND_LIMIT`` is dropped whole and
+    counted in ``dropped``.
+    """
+
+    def __init__(self, sock: socket.socket, selector: selectors.BaseSelector) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # small frames
-        self._sock = sock
-        self._send_lock = threading.Lock()
+        sock.setblocking(False)
+        self.sock = sock
+        self.decoder = PacketDecoder()
+        self.pending = bytearray()
+        self.dropped = 0
+        self._selector = selector
 
     def send(self, packet: Packet) -> None:
         data = getattr(packet, "frame", None) or encode_packet(packet)
+        if self.pending:
+            if isinstance(packet, Publish) and len(self.pending) + len(data) > OUTBOUND_LIMIT:
+                self.dropped += 1
+            else:
+                self.pending += data
+            return
         try:
-            with self._send_lock:
-                self._sock.sendall(data)
-        except OSError:
-            pass  # receiver loop will notice the broken pipe
+            sent = self.sock.send(data)
+        except OSError:  # full, or broken: then the loop's write to it fails
+            sent = 0
+        if sent < len(data):
+            self.pending += memoryview(data)[sent:]
+            self._selector.modify(self.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, self)
+
+    def flush(self) -> None:
+        """Write what the socket takes of ``pending``; OSError if the link broke."""
+        try:
+            del self.pending[: self.sock.send(self.pending)]
+        except BlockingIOError:
+            return
+        if not self.pending:
+            self._selector.modify(self.sock, selectors.EVENT_READ, self)
 
     def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        if self.sock.fileno() >= 0:  # not closed yet, by the broker or the loop
+            self._selector.unregister(self.sock)
+            self.sock.close()
 
 
 class TcpBrokerServer:
-    """Stream-socket front-end for a :class:`Broker`.
+    """Stream-socket front-end for a :class:`Broker`, served by one thread.
 
-    Each connection has a reader thread; a connection and its thread are
-    tracked in ``_conns`` until the reader loop ends.
+    The ``broker-loop`` thread owns the listener and every connection; the
+    connections are the selector's registered keys that carry one.
+    ``stop()`` wakes it, and it closes them all before it ends.
     """
 
     def __init__(self, broker: Broker, host: str = "127.0.0.1", port: int = DEFAULT_PORT) -> None:
         self.broker = broker
         self.host = host
         self.port = port
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._conns: dict[_TcpConnection, threading.Thread] = {}
-        self._conns_lock = threading.Lock()
-        self._running = False
+        self._thread: threading.Thread | None = None
 
     def start(self) -> None:
-        """Bind and start accepting; raises OSError if the bind fails."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen(16)
-        except OSError:
-            listener.close()
-            raise
-        self.port = listener.getsockname()[1]
-        self._listener = listener
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, daemon=True, name="broker-accept"
-        )
-        self._accept_thread.start()
+        """Bind and start serving; raises OSError if the bind fails."""
+        self._listener = socket.create_server((self.host, self.port), backlog=16)
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        self._wake, self._waker = socket.socketpair()  # stop() closes the waker
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._loop, daemon=True, name="broker-loop")
+        self._thread.start()
 
     def stop(self) -> None:
-        self._running = False
-        if self._listener is not None:
-            try:
-                # close() alone does not wake a thread blocked in accept()
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        with self._conns_lock:
-            conns = dict(self._conns)
-        for conn in conns:
-            conn.close()  # unblocks the reader threads
-        for thread in conns.values():
-            thread.join(timeout=2.0)
+        if self._thread is not None:
+            self._waker.close()
+            self._thread.join(timeout=2.0)
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while self._running:
-            try:
-                sock, _addr = self._listener.accept()
-            except OSError:
-                return
-            conn = _TcpConnection(sock)
-            self.broker.register_connection(conn)
-            thread = threading.Thread(
-                target=self._recv_loop, args=(sock, conn), daemon=True, name="broker-conn"
-            )
-            with self._conns_lock:  # tracked before it starts, so its own removal finds it
-                self._conns[conn] = thread
-            thread.start()
+    def _loop(self) -> None:
+        try:
+            while True:
+                for key, mask in self._selector.select():
+                    conn = key.data
+                    if conn is None:
+                        if key.fileobj is self._wake:
+                            return
+                        self._accept()
+                        continue
+                    try:
+                        if mask & selectors.EVENT_WRITE:
+                            conn.flush()
+                        if mask & selectors.EVENT_READ:
+                            data = conn.sock.recv(65536)
+                            if not data:
+                                raise ConnectionResetError("peer closed the link")
+                            self.broker.data_received(conn, data)
+                    except OSError:
+                        self.broker.connection_lost(conn)
+                        conn.close()
+        finally:
+            for key in list(self._selector.get_map().values()):
+                if key.data is not None:
+                    self.broker.connection_lost(key.data)
+                key.fileobj.close()
+            self._selector.close()
 
-    def _recv_loop(self, sock: socket.socket, conn: _TcpConnection) -> None:
-        while True:
-            try:
-                data = sock.recv(4096)
-            except OSError:
-                data = b""
-            if not data:
-                self.broker.connection_lost(conn)
-                conn.close()
-                with self._conns_lock:
-                    self._conns.pop(conn, None)
-                return
-            self.broker.data_received(conn, data)
+    def _accept(self) -> None:
+        try:
+            sock, _addr = self._listener.accept()
+        except OSError:
+            return  # the peer gave up before we got to it
+        conn = _TcpConnection(sock, self._selector)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self.broker.register_connection(conn)

@@ -1,14 +1,19 @@
 import json
 import math
 import os
+import re
+import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import wait_until
 
 import wingman
 from wingman.cli import main
+from wingman.transport import MqttClient, SocketTransport
 
 
 def test_gen_trajectory_circle(tmp_path, capsys):
@@ -263,6 +268,45 @@ def test_run_artifacts_are_utf8_under_an_ascii_locale(world_in, tmp_path, capsys
     for name in ("trace.csv", "report.json", "messages.jsonl"):
         assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
     assert "café".encode("utf-8") in (tmp_path / "default" / "messages.jsonl").read_bytes()
+
+
+def test_broker_command_serves_until_sigint():
+    src = str(Path(wingman.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # a child inherits SIGINT ignored from a shell's background job; the
+    # handler set here is reset to the default across exec
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wingman.cli", "broker", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    try:
+        assert select.select([proc.stdout], [], [], 30.0)[0], "no listening line"
+        match = re.fullmatch(r"broker listening on 127\.0\.0\.1:(\d+)\n", proc.stdout.readline())
+        assert match
+        port = int(match.group(1))
+        received = []
+        sub = MqttClient(SocketTransport("127.0.0.1", port), "sub", on_message=lambda t, p: received.append((t, p)))
+        pub = MqttClient(SocketTransport("127.0.0.1", port), "pub")
+        for client in (sub, pub):
+            client.connect()
+        sub.subscribe("t/#")
+        pub.publish("t/x", b"hello")
+        pub.ping()
+        assert wait_until(lambda: received == [("t/x", b"hello")])
+        for client in (sub, pub):
+            client.disconnect()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=2.0)
+        assert proc.returncode == 0
+        assert err == ""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
 
 
 def test_bad_port_env_only_fails_commands_that_read_it(monkeypatch, capsys):

@@ -321,6 +321,14 @@ def test_messages_jsonl_lines_are_canonical_json(tmp_path):
     assert path.read_text() == ""
 
 
+def test_messages_jsonl_escapes_a_payload_that_is_not_utf8(tmp_path):
+    path = tmp_path / "messages.jsonl"
+    messages = [(0.0, TOPIC_POSE, b'{"v":1}'), (0.1, "peer/raw", b"caf\xe9"), (0.2, TOPIC_CUES, b"{}")]
+    write_messages_jsonl(RunTrace(messages=messages), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["payload"] for line in lines] == ['{"v":1}', "caf\\xe9", "{}"]
+
+
 def test_trace_csv_format(tmp_path):
     trace, _ = run_scenario(base_cfg(duration=1.0))
     path = tmp_path / "trace.csv"

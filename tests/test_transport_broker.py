@@ -1,4 +1,6 @@
 import random
+import selectors
+import socket
 import threading
 import time
 
@@ -22,8 +24,12 @@ from wingman.transport.broker import ROUTE_CACHE_TOPICS, _TcpConnection
 from wingman.transport.client import TransportClosed
 from wingman.transport.packets import (
     TOPIC_CACHE_TOPICS,
+    ConnAck,
     Connect,
     PacketDecoder,
+    PingReq,
+    PingResp,
+    SubAck,
     Subscribe,
     decode_remaining_length,
     encode_packet,
@@ -137,23 +143,52 @@ def test_topic_cache_size_is_capped():
 
 
 class RecordingSocket:
-    """Stands in for a TCP peer: keeps every frame written to it."""
+    """Stands in for a non-blocking TCP socket: keeps every chunk written to
+    it. While ``room`` is not None it takes at most that many more bytes,
+    as a peer that stops reading does once the kernel buffers are full."""
 
     def __init__(self) -> None:
         self.frames: list[bytes] = []
         self.closed = False
+        self.room: int | None = None
 
     def setsockopt(self, *args) -> None:
         pass
 
-    def sendall(self, data: bytes) -> None:
-        self.frames.append(data)
+    def setblocking(self, flag: bool) -> None:
+        assert flag is False
 
-    def shutdown(self, how: int) -> None:
-        pass
+    def fileno(self) -> int:
+        return -1 if self.closed else 1000
+
+    def send(self, data) -> int:
+        taken = len(data) if self.room is None else min(len(data), self.room)
+        if data and not taken:
+            raise BlockingIOError
+        self.frames.append(bytes(data[:taken]))
+        if self.room is not None:
+            self.room -= taken
+        return taken
 
     def close(self) -> None:
         self.closed = True
+
+
+class RecordingSelector:
+    """Stands in for the broker loop's selector: keeps the connections that
+    wait for their socket to become writable."""
+
+    def __init__(self) -> None:
+        self.writers: set[_TcpConnection] = set()
+
+    def modify(self, sock, events: int, conn: _TcpConnection) -> None:
+        if events & selectors.EVENT_WRITE:
+            self.writers.add(conn)
+        else:
+            self.writers.discard(conn)
+
+    def unregister(self, sock) -> None:
+        pass
 
 
 class RecordingConnection(_TcpConnection):
@@ -162,7 +197,8 @@ class RecordingConnection(_TcpConnection):
 
     def __init__(self, broker: Broker, client_id: str | None = None) -> None:
         self.peer = RecordingSocket()
-        super().__init__(self.peer)
+        self.selector = RecordingSelector()
+        super().__init__(self.peer, self.selector)
         self.frames = self.peer.frames
         broker.register_connection(self)
         if client_id is not None:
@@ -172,6 +208,38 @@ class RecordingConnection(_TcpConnection):
 def received_payloads(conn: RecordingConnection) -> list[bytes]:
     packets = PacketDecoder().feed(b"".join(conn.frames))
     return [packet.payload for packet in packets if isinstance(packet, Publish)]
+
+
+def test_slow_peer_drops_whole_publishes_past_the_limit_but_keeps_acks(monkeypatch):
+    monkeypatch.setattr(broker_module, "OUTBOUND_LIMIT", 10_000)
+    broker = Broker()
+    slow = RecordingConnection(broker, "slow")
+    broker.data_received(slow, encode_packet(Subscribe(1, "t")))
+    fast = RecordingConnection(broker, "fast")
+    broker.data_received(fast, encode_packet(Subscribe(1, "t")))
+    pub = RecordingConnection(broker, "pub")
+    slow.peer.room = 1500  # takes one frame and a half, then nothing
+    frames = [encode_packet(Publish("t", i.to_bytes(2, "big") + bytes(998))) for i in range(30)]
+    for frame in frames:
+        broker.data_received(pub, frame)
+    pending = 2 * len(frames[0]) - 1500  # what the socket did not take of the second frame
+    queued = (10_000 - pending) // len(frames[0])  # whole frames that fit behind it
+    assert slow.dropped == 30 - 2 - queued
+    assert len(slow.pending) <= 10_000
+    assert slow.selector.writers == {slow}
+    broker.data_received(slow, encode_packet(PingReq()))  # queued past the limit
+    broker.data_received(slow, encode_packet(Subscribe(2, "u")))
+    assert slow.dropped == 30 - 2 - queued
+    assert fast.dropped == 0 and received_payloads(fast) == [frame[-1000:] for frame in frames]
+
+    slow.peer.room = None
+    slow.flush()
+    assert slow.pending == bytearray() and slow.selector.writers == set()
+    packets = PacketDecoder().feed(b"".join(slow.frames))
+    assert packets[:2] == [ConnAck(), SubAck(1)]
+    publishes = [packet.payload[:2] for packet in packets[2:-2]]
+    assert publishes == [frame[-1000:-998] for frame in frames[: 2 + queued]]
+    assert packets[-2:] == [PingResp(), SubAck(2)]
 
 
 def test_broker_forwards_canonical_frames_and_re_encodes_the_rest(monkeypatch):
@@ -362,21 +430,37 @@ def test_tcp_round_trip():
         server.stop()
 
 
+def broker_threads(before: set[threading.Thread]) -> list[str]:
+    return [t.name for t in set(threading.enumerate()) - before if t.name.startswith("broker-")]
+
+
 def test_tcp_stop_is_prompt_and_leaves_no_broker_threads():
     before = set(threading.enumerate())
-    server = TcpBrokerServer(Broker(), "127.0.0.1", 0)
+    broker = Broker()
+    server = TcpBrokerServer(broker, "127.0.0.1", 0)
     server.start()
-    client = MqttClient(SocketTransport("127.0.0.1", server.port), "c")
+    clients = [MqttClient(SocketTransport("127.0.0.1", server.port), f"c{i}") for i in range(3)]
     try:
-        client.connect()
+        for client in clients:
+            client.connect()
+        serving = broker_threads(before)
         started = time.monotonic()
         server.stop()
         elapsed = time.monotonic() - started
+        sessions = broker.session_count()
     finally:
-        client.disconnect()
-    left = [t.name for t in set(threading.enumerate()) - before if t.name.startswith("broker-")]
+        for client in clients:
+            client.disconnect()
+    assert serving == ["broker-loop"]  # one thread serves every connection
     assert elapsed < 0.5
-    assert left == []
+    assert sessions == 0
+    assert broker_threads(before) == []
+
+
+def registered_connections(server: TcpBrokerServer) -> int:
+    """Connections the broker loop still serves: its selector's keys
+    besides the listener and the wake-up socket."""
+    return len(server._selector.get_map()) - 2
 
 
 def test_tcp_server_forgets_closed_connections():
@@ -388,9 +472,70 @@ def test_tcp_server_forgets_closed_connections():
             client = MqttClient(SocketTransport("127.0.0.1", server.port), f"c{i}")
             client.connect()
             client.disconnect()
-        assert wait_until(lambda: len(server._conns) <= 1)
+        assert wait_until(lambda: registered_connections(server) == 0)
         assert wait_until(lambda: broker.session_count() == 0)
     finally:
+        server.stop()
+
+
+def test_tcp_subscriber_that_stops_reading_stalls_nobody():
+    n, size = 20_000, 2048
+    broker = Broker()
+    server = TcpBrokerServer(broker, "127.0.0.1", 0)
+    server.start()
+    received: list[int] = []
+    healthy = MqttClient(
+        SocketTransport("127.0.0.1", server.port), "healthy",
+        on_message=lambda t, p: received.append(int.from_bytes(p[:4], "big")),
+    )
+    pub = MqttClient(SocketTransport("127.0.0.1", server.port), "pub")
+    stuck = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # before connect: a small window
+    stuck.settimeout(10.0)
+    decoder = PacketDecoder()
+
+    def read_until(kind) -> list:
+        packets: list = []
+        while not packets or not isinstance(packets[-1], kind):
+            data = stuck.recv(65536)
+            assert data, "broker closed the stuck connection"
+            packets += decoder.feed(data)
+        return packets
+
+    try:
+        healthy.connect()
+        healthy.subscribe("load/#")
+        pub.connect()
+        stuck.connect(("127.0.0.1", server.port))
+        stuck.sendall(encode_packet(Connect("stuck")))
+        assert read_until(ConnAck) == [ConnAck()]
+        stuck.sendall(encode_packet(Subscribe(1, "#")))
+        assert read_until(SubAck) == [SubAck(1)]
+
+        def publish_all() -> None:
+            for i in range(n):
+                pub.publish("load/x", i.to_bytes(4, "big") + bytes(size - 4))
+
+        publisher = threading.Thread(target=publish_all, daemon=True)
+        publisher.start()
+        publisher.join(timeout=30.0)
+        assert not publisher.is_alive(), "the publisher stalled"
+        assert wait_until(lambda: len(received) == n, timeout=30.0)
+        assert received == list(range(n))
+
+        stuck.sendall(encode_packet(PingReq()))  # answered after the last publish
+        packets = read_until(PingResp)
+        dropped = broker._connections["stuck"].dropped
+        assert dropped >= 1
+        assert decoder.pending_bytes() == 0
+        assert all(isinstance(packet, Publish) for packet in packets[:-1])
+        indices = [int.from_bytes(packet.payload[:4], "big") for packet in packets[:-1]]
+        assert len(indices) == n - dropped
+        assert indices == sorted(set(indices))  # in order, none twice
+    finally:
+        stuck.close()
+        pub.disconnect()
+        healthy.disconnect()
         server.stop()
 
 
