@@ -180,7 +180,6 @@ class DroneState:
     pose: Pose
     command: CommandMsg | None = None
     max_speed: float = 1.0
-    altitude: float = 0.5
     yaw_rate: float = math.pi
 
     def __post_init__(self) -> None:
@@ -238,7 +237,6 @@ class DroneAgent:
         self,
         world_start: Vec3,
         max_speed: float = 1.0,
-        altitude: float = 0.5,
         start_yaw: float = 0.0,
     ) -> None:
         self.world_origin = world_start
@@ -246,7 +244,6 @@ class DroneAgent:
             pose=Pose(Vec3(), start_yaw, FrameId.DRONE, 0.0),
             command=None,
             max_speed=max_speed,
-            altitude=altitude,
         )
         self.protocol_error_count = 0
         self._lock = threading.Lock()

@@ -82,15 +82,11 @@ def _dumps(value) -> str:
     if isinstance(value, str):
         return encode_basestring(value)  # as json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
-        return "{" + ",".join(f"{_dumps_key(k)}:{_dumps(v)}" for k, v in value.items()) + "}"
+        # keys ASCII-escaped, as json.dumps writes them; a non-str key is a TypeError
+        return "{" + ",".join(f"{encode_basestring_ascii(k)}:{_dumps(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_dumps(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _dumps_key(key) -> str:
-    """An object key as json.dumps(key) writes it: str keys ASCII-escaped."""
-    return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps(key)
 
 
 def _check(msg) -> None:

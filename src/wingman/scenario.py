@@ -163,7 +163,6 @@ class _SimCore:
         self.drone = DroneAgent(
             world_start=self.drone_start,
             max_speed=cfg.follower.max_speed,
-            altitude=cfg.follower.altitude,
             start_yaw=wrap_angle(heading0 + math.pi),
         )
         self.follower = FollowerLoop(

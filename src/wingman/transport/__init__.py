@@ -1,6 +1,6 @@
 """Topic pub/sub transport: MQTT-3.1.1-subset codec, broker and client."""
 
-from wingman.transport.broker import Broker, BrokerState, SessionError, TcpBrokerServer, broker_dispatch
+from wingman.transport.broker import Broker, BrokerState, TcpBrokerServer, broker_dispatch
 from wingman.transport.client import MemoryTransport, MqttClient, SocketTransport
 from wingman.transport.packets import (
     ConnAck,
@@ -36,7 +36,6 @@ __all__ = [
     "PingResp",
     "ProtocolError",
     "Publish",
-    "SessionError",
     "SocketTransport",
     "SubAck",
     "Subscribe",

@@ -5,6 +5,12 @@ The broker core takes packet objects from connections (anything with
 both ways and never frames them; the codec runs only on TCP links, where
 ``data_received`` decodes a stream and ``_TcpConnection`` writes frames.
 
+One registry, ``BrokerState.sessions``, maps each client id to its live
+connection, and the route cache holds each topic's target connections, so
+a fan-out sends with no lookup by id. A connection dropped during a
+fan-out (a loopback subscriber's callback may disconnect a later one) gets
+nothing more.
+
 A protocol violation terminates the offending session only; the broker
 survives. Dispatch for a single publish is atomic with respect to
 subscription changes. All subscribers get the same ``Publish`` object; a
@@ -52,10 +58,6 @@ DEFAULT_PORT = 1883
 OUTBOUND_LIMIT = 1 << 20  # bytes a TCP peer may leave unread before its publishes drop
 
 
-class SessionError(Exception):
-    """Operation referenced a client id with no live session."""
-
-
 class Connection(Protocol):
     def send(self, packet: Packet) -> None: ...
 
@@ -69,20 +71,20 @@ ROUTE_CACHE_TOPICS = 256
 
 @dataclass
 class BrokerState:
-    """Connected client ids, their subscription filters and cached routes.
+    """Live sessions (client id -> connection), their filters and cached routes.
 
-    ``sessions`` is insertion-ordered (dict keyed by client id) so that
-    fan-out order is deterministic. Duplicate filters per client collapse.
-    Each topic's targets are matched once and cached until the sessions or
+    ``sessions`` is insertion-ordered so that fan-out order is
+    deterministic. Duplicate filters per client collapse. Each topic's
+    target connections are matched once and cached until the sessions or
     subscriptions change.
     """
 
-    sessions: dict[str, None] = field(default_factory=dict)
+    sessions: dict[str, Connection] = field(default_factory=dict)
     subscriptions: dict[str, set[str]] = field(default_factory=dict)
-    _routes: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
+    _routes: dict[str, list[Connection]] = field(default_factory=dict, init=False, repr=False)
 
-    def add_session(self, client_id: str) -> None:
-        self.sessions[client_id] = None
+    def add_session(self, client_id: str, conn: Connection) -> None:
+        self.sessions[client_id] = conn
         self._routes.clear()
 
     def remove_session(self, client_id: str) -> None:
@@ -91,36 +93,29 @@ class BrokerState:
         self._routes.clear()
 
     def add_subscription(self, client_id: str, filter_: str) -> None:
-        if client_id not in self.sessions:
-            raise SessionError(f"unknown client {client_id!r}")
         validate_filter(filter_)
         self.subscriptions.setdefault(client_id, set()).add(filter_)
         self._routes.clear()
 
-    def targets(self, topic: str) -> list[str]:
-        """Client ids subscribed to ``topic``, in session order."""
-        targets = self._routes.get(topic)
-        if targets is None:
-            if len(self._routes) >= ROUTE_CACHE_TOPICS:
-                self._routes.clear()
-            targets = [
-                client_id
-                for client_id in self.sessions
-                if any(topic_matches(f, topic) for f in self.subscriptions.get(client_id, ()))
-            ]
-            self._routes[topic] = targets
-        return targets
 
-
-def broker_dispatch(state: BrokerState, from_id: str, publish: Publish) -> list[tuple[str, Publish]]:
-    """Targets for one publish: (client id, packet), deduplicated per client.
+def broker_dispatch(state: BrokerState, publish: Publish) -> list[Connection]:
+    """The connections subscribed to ``publish.topic``, once each, in session order.
 
     The publisher receives its own message if self-subscribed; with no
-    matching subscribers the QoS-0 message is dropped silently.
+    matching subscribers the QoS-0 message is dropped silently. The list
+    is the route cache's own: callers read it and never change it.
     """
-    if from_id not in state.sessions:
-        raise SessionError(f"unknown client {from_id!r}")
-    return [(client_id, publish) for client_id in state.targets(publish.topic)]
+    targets = state._routes.get(publish.topic)
+    if targets is None:
+        if len(state._routes) >= ROUTE_CACHE_TOPICS:
+            state._routes.clear()
+        targets = [
+            conn
+            for client_id, conn in state.sessions.items()
+            if any(topic_matches(f, publish.topic) for f in state.subscriptions.get(client_id, ()))
+        ]
+        state._routes[publish.topic] = targets
+    return targets
 
 
 class Broker:
@@ -135,7 +130,6 @@ class Broker:
         self.on_publish: Callable[[str, bytes], None] | None = None
         self._lock = threading.RLock()
         self._client_ids: dict[Connection, str | None] = {}  # live connection -> id once CONNECTed
-        self._connections: dict[str, Connection] = {}
 
     def register_connection(self, conn: Connection) -> None:
         with self._lock:
@@ -144,8 +138,7 @@ class Broker:
     def connection_lost(self, conn: Connection) -> None:
         with self._lock:
             client_id = self._client_ids.pop(conn, None)
-            if client_id is not None and self._connections.get(client_id) is conn:
-                self._connections.pop(client_id, None)
+            if client_id is not None and self.state.sessions.get(client_id) is conn:
                 self.state.remove_session(client_id)
 
     def data_received(self, conn: _TcpConnection, data: bytes) -> None:
@@ -186,12 +179,11 @@ class Broker:
         if isinstance(packet, Connect):
             if client_id is not None:
                 raise ProtocolError("second CONNECT on one connection")
-            old = self._connections.get(packet.client_id)
+            old = self.state.sessions.get(packet.client_id)
             if old is not None:
                 self._terminate(old, f"session taken over by new {packet.client_id!r}")
             self._client_ids[conn] = packet.client_id
-            self._connections[packet.client_id] = conn
-            self.state.add_session(packet.client_id)
+            self.state.add_session(packet.client_id, conn)
             conn.send(ConnAck())
             return
         if client_id is None:
@@ -202,9 +194,8 @@ class Broker:
         elif isinstance(packet, Publish):
             if self.on_publish is not None:
                 self.on_publish(packet.topic, packet.payload)
-            for target_id, _ in broker_dispatch(self.state, client_id, packet):
-                target = self._connections.get(target_id)
-                if target is not None:
+            for target in broker_dispatch(self.state, packet):
+                if target in self._client_ids:  # a callback may drop a later subscriber
                     target.send(packet)
         elif isinstance(packet, PingReq):
             conn.send(PingResp())

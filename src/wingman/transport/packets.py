@@ -27,13 +27,9 @@ MAX_REMAINING_LENGTH = 268_435_455
 _MAX_FRAME = MAX_PAYLOAD + 65_535 + 16
 
 _TYPE_CONNECT = 1
-_TYPE_CONNACK = 2
 _TYPE_PUBLISH = 3
 _TYPE_SUBSCRIBE = 8
 _TYPE_SUBACK = 9
-_TYPE_PINGREQ = 12
-_TYPE_PINGRESP = 13
-_TYPE_DISCONNECT = 14
 
 # Distinct topics whose validated wire prefix (uint16 length + UTF-8) is
 # cached; a peer that publishes to more topics than this only empties it.
@@ -165,6 +161,17 @@ class Disconnect:
 
 Packet = Connect | ConnAck | Publish | Subscribe | SubAck | PingReq | PingResp | Disconnect
 
+# The one valid frame of each packet that has no fields. CONNACK answers a
+# clean-session CONNECT: Session Present 0, reserved bits 0, return code 0.
+# The decoder checks the first byte and the body, frame[2:], so any
+# remaining-length form of these frames decodes.
+_FIXED_FRAMES: dict[type, bytes] = {
+    ConnAck: b"\x20\x02\x00\x00",
+    PingReq: b"\xc0\x00",
+    PingResp: b"\xd0\x00",
+    Disconnect: b"\xe0\x00",
+}
+
 
 def encode_remaining_length(n: int) -> bytes:
     """7-bit little-endian varint used for the MQTT remaining length."""
@@ -220,29 +227,20 @@ def encode_packet(packet: Packet) -> bytes:
         prefix = _topic_prefix(packet.topic)
         size = encode_remaining_length(len(prefix) + len(packet.payload))
         return _PUBLISH_HEADER + size + prefix + packet.payload
+    frame = _FIXED_FRAMES.get(type(packet))
+    if frame is not None:
+        return frame
     if isinstance(packet, Connect):
         # protocol name, level 4, connect flags (clean session), keepalive 0
         var = _encode_string("MQTT") + bytes([0x04, 0x02, 0x00, 0x00])
         body = var + _encode_string(packet.client_id)
         head = bytes([_TYPE_CONNECT << 4])
-    elif isinstance(packet, ConnAck):
-        body = bytes([0x00, 0x00])  # session present 0, return code 0
-        head = bytes([_TYPE_CONNACK << 4])
     elif isinstance(packet, Subscribe):
         body = struct.pack(">H", packet.packet_id) + _encode_string(packet.filter) + b"\x00"
         head = bytes([(_TYPE_SUBSCRIBE << 4) | 0x02])
     elif isinstance(packet, SubAck):
         body = struct.pack(">H", packet.packet_id) + b"\x00"  # granted QoS 0
         head = bytes([_TYPE_SUBACK << 4])
-    elif isinstance(packet, PingReq):
-        body = b""
-        head = bytes([_TYPE_PINGREQ << 4])
-    elif isinstance(packet, PingResp):
-        body = b""
-        head = bytes([_TYPE_PINGRESP << 4])
-    elif isinstance(packet, Disconnect):
-        body = b""
-        head = bytes([_TYPE_DISCONNECT << 4])
     else:
         raise PacketError(f"unknown packet {packet!r}")
     return head + encode_remaining_length(len(body)) + body
@@ -317,22 +315,6 @@ def _decode_suback(flags: int, body: bytes) -> SubAck:
     return SubAck(packet_id)
 
 
-def _decode_empty(flags: int, body: bytes, packet: Packet, name: str) -> Packet:
-    if flags != 0:
-        raise ProtocolError(f"{name}: reserved flags set")
-    if body:
-        raise ProtocolError(f"{name}: unexpected payload")
-    return packet
-
-
-def _decode_connack(flags: int, body: bytes) -> ConnAck:
-    if flags != 0:
-        raise ProtocolError("CONNACK: reserved flags set")
-    if len(body) != 2 or body[1] != 0x00:
-        raise ProtocolError("CONNACK: bad acknowledge body")
-    return ConnAck()
-
-
 def decode_packet(buf: bytes) -> tuple[Packet, int] | None:
     """Decode one packet from the head of ``buf``.
 
@@ -366,18 +348,15 @@ def _decode_at(buf: bytes | bytearray, start: int) -> tuple[Packet, int] | None:
         body = bytes(buf[start + 1 + rl_len : end])
         if ptype == _TYPE_CONNECT:
             return _decode_connect(flags, body), end
-        if ptype == _TYPE_CONNACK:
-            return _decode_connack(flags, body), end
         if ptype == _TYPE_SUBSCRIBE:
             return _decode_subscribe(flags, body), end
         if ptype == _TYPE_SUBACK:
             return _decode_suback(flags, body), end
-        if ptype == _TYPE_PINGREQ:
-            return _decode_empty(flags, body, PingReq(), "PINGREQ"), end
-        if ptype == _TYPE_PINGRESP:
-            return _decode_empty(flags, body, PingResp(), "PINGRESP"), end
-        if ptype == _TYPE_DISCONNECT:
-            return _decode_empty(flags, body, Disconnect(), "DISCONNECT"), end
+        for cls, frame in _FIXED_FRAMES.items():  # the rest, each with one valid frame
+            if frame[0] >> 4 == ptype:
+                if buf[start] != frame[0] or body != frame[2:]:
+                    raise ProtocolError(f"{cls.__name__}: bad flags or body")
+                return cls(), end
     except PacketError as exc:
         raise ProtocolError(str(exc)) from exc
     raise ProtocolError(f"unsupported packet type {ptype}")

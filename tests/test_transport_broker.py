@@ -13,7 +13,6 @@ from wingman.transport import (
     MemoryTransport,
     MqttClient,
     Publish,
-    SessionError,
     SocketTransport,
     TcpBrokerServer,
     broker_dispatch,
@@ -39,9 +38,10 @@ from wingman.transport.packets import (
 
 
 def make_state(subs: dict[str, set[str]]) -> BrokerState:
+    """Sessions whose ids stand in for their connections, so routes read as ids."""
     state = BrokerState()
     for client_id, filters in subs.items():
-        state.add_session(client_id)
+        state.add_session(client_id, client_id)
         for f in filters:
             state.add_subscription(client_id, f)
     return state
@@ -49,39 +49,30 @@ def make_state(subs: dict[str, set[str]]) -> BrokerState:
 
 def test_dispatch_fans_out_to_each_subscriber():
     state = make_state({"a": {"tagteam/pose"}, "b": {"tagteam/pose"}})
-    out = broker_dispatch(state, "a", Publish("tagteam/pose", b"x"))
-    assert [client for client, _ in out] == ["a", "b"]
+    assert broker_dispatch(state, Publish("tagteam/pose", b"x")) == ["a", "b"]
 
 
 def test_dispatch_deduplicates_multiple_matching_filters():
     state = make_state({"a": {"tagteam/#", "tagteam/pose"}})
-    out = broker_dispatch(state, "a", Publish("tagteam/pose", b"x"))
-    assert len(out) == 1
+    assert broker_dispatch(state, Publish("tagteam/pose", b"x")) == ["a"]
 
 
 def test_dispatch_with_no_subscribers_drops_silently():
     state = make_state({"a": set()})
-    assert broker_dispatch(state, "a", Publish("tagteam/pose", b"x")) == []
-
-
-def test_dispatch_unknown_client_is_session_error():
-    state = make_state({"a": set()})
-    with pytest.raises(SessionError):
-        broker_dispatch(state, "ghost", Publish("tagteam/pose", b"x"))
+    assert broker_dispatch(state, Publish("tagteam/pose", b"x")) == []
 
 
 def reference_targets(state: BrokerState, topic: str) -> list[str]:
     """Fan-out without the route cache: every filter of every session."""
     return [
-        client_id
-        for client_id in state.sessions
+        conn
+        for client_id, conn in state.sessions.items()
         if any(topic_matches(f, topic) for f in state.subscriptions.get(client_id, ()))
     ]
 
 
 def targets(state: BrokerState, topic: str) -> list[str]:
-    sender = next(iter(state.sessions))
-    return [client for client, _ in broker_dispatch(state, sender, Publish(topic, b"x"))]
+    return broker_dispatch(state, Publish(topic, b"x"))
 
 
 def test_route_cache_follows_subscribe_and_removal():
@@ -93,7 +84,7 @@ def test_route_cache_follows_subscribe_and_removal():
     assert targets(state, "t/x") == ["a", "b", "c"]
     state.remove_session("a")
     assert targets(state, "t/x") == ["b", "c"]
-    state.add_session("a")  # back with no filters, now last in fan-out order
+    state.add_session("a", "a")  # back with no filters, now last in fan-out order
     state.add_subscription("a", "t/x")
     assert targets(state, "t/x") == ["b", "c", "a"]
 
@@ -103,12 +94,12 @@ def test_route_cache_matches_uncached_dispatch_under_random_changes():
     topics = ["tagteam/pose", "tagteam/cmd", "a/b", "a/b/c", "x"]
     filters = ["#", "tagteam/#", "tagteam/+", "tagteam/pose", "a/+", "a/+/c", "+/b/#", "x"]
     state = BrokerState()
-    state.add_session("c0")
+    state.add_session("c0", "c0")
     for step in range(2000):
         roll = rng.random()
         client_id = f"c{rng.randrange(6)}"
         if roll < 0.1:
-            state.add_session(client_id)
+            state.add_session(client_id, client_id)
         elif roll < 0.15 and len(state.sessions) > 1:
             state.remove_session(client_id)
         elif roll < 0.3 and client_id in state.sessions:
@@ -300,10 +291,25 @@ def test_session_takeover_resets_its_routes():
     assert order == ["other", "dup"]
 
 
-def test_subscription_requires_session():
-    state = BrokerState()
-    with pytest.raises(SessionError):
-        state.add_subscription("nobody", "tagteam/#")
+def test_callback_that_drops_a_later_subscriber_ends_its_delivery():
+    broker = Broker()
+    got = []
+    late = MqttClient(MemoryTransport(broker), "late", on_message=lambda t, p: got.append("late"))
+
+    def early_received(topic, payload):
+        got.append("early")
+        late.disconnect()  # inside the fan-out that would reach ``late`` next
+
+    early = MqttClient(MemoryTransport(broker), "early", on_message=early_received)
+    early.connect()
+    early.subscribe("t")
+    late.connect()
+    late.subscribe("t")
+    pub = MqttClient(MemoryTransport(broker), "pub")
+    pub.connect()
+    pub.publish("t", b"1")
+    assert got == ["early"]
+    assert broker.session_count() == 2
 
 
 def test_memory_link_pub_sub():
@@ -525,7 +531,7 @@ def test_tcp_subscriber_that_stops_reading_stalls_nobody():
 
         stuck.sendall(encode_packet(PingReq()))  # answered after the last publish
         packets = read_until(PingResp)
-        dropped = broker._connections["stuck"].dropped
+        dropped = broker.state.sessions["stuck"].dropped
         assert dropped >= 1
         assert decoder.pending_bytes() == 0
         assert all(isinstance(packet, Publish) for packet in packets[:-1])

@@ -138,6 +138,24 @@ def test_bad_flags_are_protocol_errors():
         decode_packet(bytes(ping))
 
 
+@pytest.mark.parametrize(
+    "packet, long_form, bad_frames",
+    [
+        (ConnAck(), "20 82 00 00 00", ["21 02 00 00", "20 02 01 00", "20 02 fe 00", "20 02 00 01", "20 01 00", "20 00"]),
+        (PingReq(), "c0 80 00", ["c1 00", "c8 00", "c0 01 00"]),
+        (PingResp(), "d0 80 80 80 00", ["d2 00", "d0 01 ff"]),
+        (Disconnect(), "e0 80 80 00", ["e4 00", "e0 02 00 00"]),
+    ],
+    ids=["CONNACK", "PINGREQ", "PINGRESP", "DISCONNECT"],
+)
+def test_fieldless_packets_have_one_frame_in_any_length_form(packet, long_form, bad_frames):
+    long = bytes.fromhex(long_form)  # a remaining length longer than it needs to be
+    assert decode_packet(long) == (packet, len(long))
+    for bad in bad_frames:  # other flags, or another body
+        with pytest.raises(ProtocolError):
+            decode_packet(bytes.fromhex(bad))
+
+
 def test_invalid_utf8_topic_is_protocol_error():
     raw = bytes([0x30, 0x05, 0x00, 0x03, 0xFF, 0xFE, 0x61])
     with pytest.raises(ProtocolError):
