@@ -11,17 +11,17 @@ The similarity pipeline, pinned by regression tests:
    (i-1,j), (i,j-1), (i-1,j-1); the distance is the cost sum along the
    optimal boundary-matched path (backtrack ties prefer diagonal, then
    (i-1,j), then (i,j-1)). The accumulated-cost matrix is never stored:
-   the forward pass fills the cells one anti-diagonal at a time with
-   numpy and keeps one byte of backtrack move per computed cell. It
-   skips every cell whose value plus a lower bound on the cost still to
-   come exceeds the cost of one fixed valid path, so on trajectories in
-   sync it computes a narrow band around the optimal path; the distance
-   and path are exactly those of the full recurrence. The bound sums,
-   over the rows (or columns) still to come, each point's least gap to
-   the other trajectory along one coordinate or in distance from the
-   origin: 1-D nearest-neighbour searches, a sort and a binary search
-   each. Inputs of under ``_BOUND_MIN_CELLS`` cells skip the searches
-   and prune on the fixed path's cost alone;
+   the forward pass fills the cells row by row in one scalar loop over
+   a band of live cells and keeps one byte of backtrack move per
+   computed cell. It skips every cell whose value plus a lower bound on
+   the cost still to come exceeds the cost of one fixed valid path, so
+   on trajectories in sync it computes a narrow band around the optimal
+   path; the distance and path are exactly those of the full
+   recurrence. The bound sums, over the rows (or columns) still to come,
+   each point's least gap to the other trajectory along one coordinate
+   or in distance from the origin: 1-D nearest-neighbour searches, a
+   sort and a binary search each. Inputs of under ``_BOUND_MIN_CELLS``
+   cells skip the searches and prune on the fixed path's cost alone;
 4. similarity = 1 / (1 + distance / path_length).
 
 This mapping is monotone, bounded in (0, 1] and equals 1 exactly at
@@ -98,19 +98,23 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
     """Dynamic time warping distance and optimal alignment path.
 
     Points may be scalars or same-length coordinate tuples (or rows of an
-    array); the cost is the Euclidean distance (``math.hypot``). The path
-    is monotone and contiguous from (0, 0) to (len(a)-1, len(b)-1).
-    Memory is one byte of backtrack move per computed cell: cells that
-    provably cannot lie on the optimal path are never computed, and the
-    distance and path are the same as those of the full recurrence.
+    array) of finite values; the cost is the Euclidean distance
+    (``math.hypot``). The path is monotone and contiguous from (0, 0) to
+    (len(a)-1, len(b)-1). The forward pass runs row by row over the band
+    of cells that can still lie on the optimal path, and memory is one
+    byte of backtrack move per computed cell: the other cells are never
+    computed, and the distance and path are the same as those of the
+    full recurrence.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("dtw: sequences must be non-empty")
     A, B = _as_points(a), _as_points(b)
     if A.shape[1] != B.shape[1]:
         raise ValueError("dtw: points must share one dimensionality")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("dtw: points must be finite")
     n, m = len(A), len(B)
-    distance, moves, starts = _dtw_wavefront(A, B)
+    distance, moves, starts = _dtw_rows(A, B)
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while i or j:
@@ -119,7 +123,7 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
         elif j == 0:
             i -= 1
         else:
-            move = moves[starts[i + j] + i]
+            move = moves[starts[i] + j]
             if move == _DIAG:
                 i, j = i - 1, j - 1
             elif move == _UP:
@@ -136,75 +140,85 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
 _BOUND_MIN_CELLS = 1 << 12
 
 
-def _dtw_wavefront(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray, list[int]]:
-    """Fill the recurrence one anti-diagonal at a time, skipping the cells
-    that cannot lie on the optimal path: D[n-1, m-1], moves, starts.
+def _dtw_rows(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray, list[int]]:
+    """Fill the recurrence one row at a time over the live band, skipping
+    the cells that cannot lie on the optimal path: D[n-1, m-1], moves,
+    starts.
 
     A cell takes the diagonal predecessor if it is no greater than the
     other two, else the upper one if no greater than the left one, else
     the left one. Border cells (i == 0 or j == 0) have one predecessor;
     the backtrack reads no move there.
 
-    Diagonal k holds the cells (i, k - i). Only the two previous
-    diagonals are kept, indexed by row + 1 so that index 0 (row -1) and
-    rows not computed read as absent (inf). Costs go through
-    ``math.hypot`` cell by cell, because ``np.hypot`` can differ from it
-    in the last bit.
-
     A cell is dropped (set to inf) when its value plus a lower bound on
     the cost still to come exceeds the cost of a fixed valid path (see
-    ``_prune_bounds``). No cell of the optimal path is ever dropped, and
-    dropping only raises other cells, so every path cell keeps its value
-    and its move. Each diagonal computes only the rows that a live cell
-    of the two previous diagonals reaches. Its moves are appended to
-    ``moves``; the move of cell (i, j) is ``moves[starts[i + j] + i]``.
+    ``_prune_bounds``); the others are live. No cell of the optimal path
+    is ever dropped, and dropping only raises other cells, so every path
+    cell keeps its value and its move. Row i computes the columns from
+    the first live one of row i - 1 to one past its last live one, then
+    goes on to the right for as long as its left neighbour is live: no
+    other cell of the row has a live predecessor. Only the live cells of
+    the previous row are kept, between two absent (inf) ones.
+
+    Each row's costs come from one lazy ``map(math.hypot, ...)`` over the
+    differences of its point and the points of B from the row's first
+    column on, so ``math.hypot`` runs once per computed cell (``np.hypot``
+    can differ from it in the last bit). The moves are one byte per computed cell, row after row; the
+    move of cell (i, j) is ``moves[starts[i] + j]``.
     """
-    n, m = len(A), len(B)
-    a_cols = [A[:, k].copy() for k in range(A.shape[1])]
-    b_cols = [B[::-1, k].copy() for k in range(B.shape[1])]  # column j at m-1-j
+    m = len(B)
+    b_cols = [B[:, k].copy() for k in range(B.shape[1])]
     limit, row_rest, col_rest = _prune_bounds(A, B)
+    col_rest = col_rest[m - 1::-1]  # column j's bound at index j
+    hypot, inf = math.hypot, math.inf
+    # a dropped cell is inf, and a live one is finite unless nothing drops
+    drops = limit < inf
     moves = bytearray()
-    starts = [0] * (n + m - 1)
-    older = np.full(n + 1, np.inf)  # diagonal k-2
-    newer = np.full(n + 1, np.inf)  # diagonal k-1
-    older[0] = 0.0  # a virtual cell (-1, -1), so that cell (0, 0) costs c + 0.0
-    # (first, last) rows computed on diagonal k-2 and live on diagonals
-    # k-1 and k-2; an empty range is (n, -1), and the virtual cell stands
-    # for diagonal -2
-    done2 = live2 = (-1, -1)
-    done1 = live1 = (n, -1)
-    hypot = math.hypot
-    for k in range(n + m - 1):
-        lo = max(0, k - m + 1, min(live1[0], live2[0] + 1))
-        hi = min(k, n - 1, max(live1[1], live2[1]) + 1)
-        rev = m - 1 - k  # column k - i of B sits at b_cols index rev + i
-        # a memoryview yields one float at a time, where tolist() would
-        # build every float of the diagonal first
-        diffs = [memoryview(a[lo:hi + 1] - b[rev + lo:rev + hi + 1])
-                 for a, b in zip(a_cols, b_cols)]
-        cost = np.fromiter(map(hypot, *diffs), float, hi - lo + 1)
-        diag, up, left = older[lo:hi + 1], newer[lo:hi + 1], newer[lo + 1:hi + 2]
-        up_or_left = np.minimum(up, left)
-        # the move rule: _DIAG (0) unless diag is greater than both, else
-        # _UP (1) unless up is greater than left, else _LEFT (2)
-        step = np.empty(hi - lo + 1, np.uint8)
-        np.multiply(diag > up_or_left, _UP + (up > left), out=step, casting="unsafe")
-        starts[k] = len(moves) - lo
-        moves += memoryview(step)
-        value = cost + np.minimum(diag, up_or_left)
-        bound = np.maximum(row_rest[lo + 1:hi + 2], col_rest[rev + lo:rev + hi + 1])
-        dropped = np.add(value, bound, out=bound) > limit
-        np.copyto(value, np.inf, where=dropped)
-        older[done2[0] + 1:done2[1] + 2] = np.inf
-        older[lo + 1:hi + 2] = value
-        first = int(dropped.argmin())
-        if dropped[first]:
-            live2, live1 = live1, (n, -1)
-        else:
-            live2, live1 = live1, (lo + first, hi - int(dropped[::-1].argmin()))
-        done2, done1 = done1, (lo, hi)
-        older, newer = newer, older
-    return float(newer[n]), moves, starts
+    put = moves.append
+    starts = []
+    # row -1 as cell (0, 0) reads it: a virtual cell (-1, -1) of 0.0, so
+    # that cell (0, 0) costs c + 0.0, and no cell above
+    above, lo = [0.0, inf], 0
+    for i, point in enumerate(A.tolist()):
+        costs = map(hypot, *[memoryview(x - b[lo:]) for x, b in zip(point, b_cols)])
+        bounds = iter(memoryview(np.maximum(col_rest[lo:], row_rest[i + 1])))
+        starts.append(len(moves) - lo)
+        row = []
+        keep = row.append
+        left = inf
+        # costs come last, so that zip stops before it calls math.hypot
+        # for a cell past the band
+        for diag, up, bound, cost in zip(above, above[1:], bounds, costs):
+            if diag <= up and diag <= left:
+                put(_DIAG)
+                left = cost + diag
+            elif up <= left:
+                put(_UP)
+                left = cost + up
+            else:
+                put(_LEFT)
+                left = cost + left
+            if left + bound > limit:
+                left = inf
+            keep(left)
+        if left < inf or not drops:
+            # past the band only the left neighbour can be live; the
+            # cells above are absent (inf), so an inf left one ties them
+            for bound, cost in zip(bounds, costs):
+                put(_LEFT if left < inf else _DIAG)
+                left = cost + left
+                if left + bound > limit:
+                    break
+                keep(left)
+        if drops:
+            first, last = 0, len(row) - 1
+            while row[first] == inf:
+                first += 1
+            while row[last] == inf:
+                last -= 1
+            row, lo = row[first:last + 1], lo + first
+        above = [inf, *row, inf]
+    return above[-2], moves, starts
 
 
 def _prune_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -215,10 +229,11 @@ def _prune_bounds(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray, np.n
     m-1] never exceeds it. ``row_rest[r]`` bounds from below the cost of
     any path from a cell of row r - 1 onwards: the path visits every
     later row, each at a cost of at least that row's bound from
-    ``_nearest_bounds``. ``col_rest`` is the same for columns, reversed
-    as ``b_cols`` is: a cell of column j reads ``col_rest[m - 1 - j]``.
-    If the limit is not finite (a NaN or inf input), it is inf and the
-    bounds are zero, so nothing is dropped. Below ``_BOUND_MIN_CELLS``
+    ``_nearest_bounds``. ``col_rest`` is the same for columns, reversed:
+    a cell of column j reads ``col_rest[m - 1 - j]``. If the limit is
+    not finite (finite coordinates near the float maximum can overflow a
+    cost; ``dtw`` rejects NaN and inf ones), it is inf and the bounds
+    are zero, so nothing is dropped. Below ``_BOUND_MIN_CELLS``
     cells the bounds are zero too, which is valid: the limit alone
     still drops the cells whose own value exceeds it.
 

@@ -59,6 +59,14 @@ def test_dtw_mixed_dimensionality_is_error():
         dtw([(1, 2), (1, 2, 3)], [(0, 0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dtw_non_finite_point_is_error(bad):
+    with pytest.raises(ValueError, match="finite"):
+        dtw([bad], [0.0])
+    with pytest.raises(ValueError, match="finite"):
+        dtw([(0.0, 1.0)], [(1.0, 2.0), (bad, 0.0)])
+
+
 def test_dtw_path_is_monotone_and_contiguous():
     rng = random.Random(3)
     for _ in range(100):
