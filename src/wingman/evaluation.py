@@ -137,7 +137,7 @@ def dtw(a: Sequence, b: Sequence) -> tuple[float, list[tuple[int, int]]]:
 
 # Fewest cells (n * m) for which ``_prune_bounds`` runs its bound pass:
 # below, the pass costs more than the cells it can save.
-_BOUND_MIN_CELLS = 1 << 12
+_BOUND_MIN_CELLS = 1 << 14
 
 
 def _dtw_rows(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray, list[int]]:

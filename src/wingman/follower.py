@@ -28,6 +28,7 @@ from wingman.protocol import (
     TOPIC_POSE,
     CommandMsg,
     DetachMsg,
+    Message,
     PoseMsg,
     ValidationError,
     decode_message,
@@ -238,14 +239,18 @@ class FollowerLoop:
         self._next_cmd_seq = 0
         self._lock = threading.Lock()
 
-    def on_message(self, topic: str, payload: bytes) -> None:
+    def on_message(self, topic: str, payload: bytes, *, message: Message | None = None) -> None:
+        """Handle one payload; a ``message`` handed with it is what it
+        decodes to, and is used without decoding the payload."""
         if topic not in (TOPIC_POSE, TOPIC_CMD):
             return
-        try:
-            msg = decode_message(topic, payload)
-        except ValidationError:
-            self.protocol_error_count += 1
-            return
+        msg = message
+        if msg is None:
+            try:
+                msg = decode_message(topic, payload)
+            except ValidationError:
+                self.protocol_error_count += 1
+                return
         if isinstance(msg, PoseMsg):
             self._on_pose(msg)
         elif isinstance(msg, DetachMsg):

@@ -25,9 +25,19 @@ Decoding is strict: unknown topics raise RoutingError, and a missing or
 extra field raises ValidationError naming the field, as does a payload
 that is not JSON or whose numbers or nesting are too large to represent.
 The decoder restores only nesting and ints in float fields, and leaves
-types and ranges to the check: the constructor's, and for a pose, the
-check that runs before ``Pose`` normalizes its yaw, which is the only
-check a decoded pose goes through. It never fabricates defaults.
+types and ranges to the same check, run on each object's values before
+they are built into it (so a pose is checked before ``Pose`` normalizes
+its yaw, and only then). It never fabricates defaults.
+
+:func:`wire_message` builds, from a message, the message that decoding
+its encoding gives, without the text: each float field through
+:func:`wire_float`, then the decoder's build. The in-process loopback
+hands that object to subscribers with the payload, so they need not
+decode it; a subscriber over TCP still decodes, and only it can reject a
+payload. Only poses and detections are handed: both ends of the command
+path stay ``(topic, payload)`` callbacks, which the benchmark in
+``bench/`` overrides, and no loopback client subscribes to cues in a run.
+docs/protocol.md says more.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from json.encoder import encode_basestring, encode_basestring_ascii
 
-from wingman.geometry import FrameId, Pose, Vec3, wrap_azimuth
+from wingman.geometry import FrameId, Pose, Vec3, wrap_angle, wrap_azimuth
 
 TOPIC_POSE = "tagteam/pose"
 TOPIC_CMD = "tagteam/cmd"
@@ -63,8 +73,23 @@ def format_float(x: float) -> str:
 
 
 def wire_float(x: float) -> float:
-    """Project a float onto the wire-precision grid (9 significant digits)."""
-    return float(format(x, ".9g"))
+    """The float that a number field holding ``x`` decodes to.
+
+    For a float that is ``float(format(x, ".9g")) + 0.0``: ``x`` rounded to
+    9 significant digits as the encoder writes it, then to the nearest
+    float as the decoder reads it. The ``+ 0.0`` is the decoder's sign of
+    zero: it reads ``-0`` as the integer 0, so as ``0.0``. An int is
+    written in full, so it reads back as ``float(x)``.
+
+    On a value that a field's rule admits, the result is admitted too, so
+    :func:`wire_message` needs no check. Both roundings are monotone and
+    fix 0 and 1, so ``>= 0`` and ``[0, 1]`` hold; ``x <= max`` gives
+    ``1.79769313e308 < max``, so finite stays finite; and ``x > 0`` means
+    ``x >= 5e-324``, which writes as ``4.94065646e-324``, more than half
+    the least positive float, so it reads back positive. An int is read
+    as the check reads it, ``float(x)``, which is what the rule judged.
+    """
+    return float(format(x, ".9g") if type(x) is float else _dumps(x)) + 0.0  # render_float inlined: a call less
 
 
 def canonical_json(value) -> str:
@@ -92,7 +117,7 @@ def _dumps(value) -> str:
 def _check(msg) -> None:
     """The constructor check of every message: the one check ``_WIRE`` drives."""
     wire = _WIRE[type(msg)]
-    wire.check(wire.values(msg))
+    wire.check(wire.values(msg), nested=True)
 
 
 @dataclass(frozen=True)
@@ -196,7 +221,9 @@ class _Object:
     A wire type is ``str``, ``int``, ``float``, ``bool``, a nested
     ``_Object``, or ``[_Object]`` for a list of them. ``values`` maps a
     ``cls`` object to its values in key order; ``build`` makes one from
-    them.
+    them as the decoder reads them, and normalizes what the constructor
+    normalizes, but runs no check: ``decode`` checks the values before,
+    and ``received`` builds from values that keep the check's verdict.
     """
 
     head = "{"
@@ -205,23 +232,27 @@ class _Object:
         self.cls, self.fields, self.values, self.build = cls, fields, values, build
         self.keys = {key for key, _, _ in fields}
         self._renders = tuple((json.dumps(key) + ":", _renderer(kind)) for key, kind, _ in fields)
+        self._reads = tuple(_reader(kind) for _, kind, _ in fields)
 
     def encode(self, obj) -> str:
         parts = [key + render(value) for (key, render), value in zip(self._renders, self.values(obj))]
         return self.head + ",".join(parts) + "}"
 
-    def check(self, values, path: str = "") -> None:
+    def check(self, values, path: str = "", nested: bool = False) -> None:
         """Raise ValidationError naming the first value the encoder cannot
-        write or its rule refuses; ``path`` prefixes a nested object's keys."""
+        write or its rule refuses; ``path`` prefixes a nested object's keys.
+        The values of a nested object are checked only with ``nested``, as
+        a constructor needs: ``decode`` checked them as it read them."""
         for (key, kind, rule), value in zip(self.fields, values):
             if type(value) is not kind:  # nested, a list, or another type the encoder may write
                 if isinstance(kind, _Object):
-                    kind.check_object(value, f"{path}{key}")
+                    if nested:
+                        kind.check_object(value, f"{path}{key}")
                     continue
                 if isinstance(kind, list):
                     if not isinstance(value, (list, tuple)):
                         raise ValidationError(f"{path}{key}: expected a list, got {type(value).__name__}")
-                    for i, entry in enumerate(value):
+                    for i, entry in enumerate(value if nested else ()):
                         kind[0].check_object(entry, f"{path}{key}[{i}]")
                 else:
                     noun, writes = _WRITES[kind]
@@ -235,13 +266,15 @@ class _Object:
                 raise ValidationError(f"{path}{key}: must be {rule.text}")
 
     def check_object(self, obj, name: str) -> None:
-        """``check`` for the object that the field ``name`` holds."""
+        """The constructor's ``check`` for the object that the field ``name`` holds."""
         if not isinstance(obj, self.cls):
             raise ValidationError(f"{name}: expected a {self.cls.__name__}, got {type(obj).__name__}")
-        self.check(self.values(obj), f"{name}.")
+        self.check(self.values(obj), f"{name}.", nested=True)
 
-    def decode(self, doc: dict):
-        """The object ``doc`` holds; ValidationError names a missing or extra key."""
+    def decode(self, doc: dict, path: str = ""):
+        """The object ``doc`` holds, its values checked before ``build``
+        normalizes them (a ``true`` yaw is refused, not read as 1.0);
+        ValidationError names a missing or extra key."""
         if doc.keys() != self.keys:
             missing = [key for key, _, _ in self.fields if key not in doc]
             raise ValidationError(f"{missing[0]}: missing" if missing
@@ -249,8 +282,17 @@ class _Object:
         values = []
         for key, kind, _ in self.fields:
             value = doc[key]
-            values.append(value if type(value) is kind else _convert(key, kind, value))
+            values.append(value if type(value) is kind else _convert(f"{path}{key}", kind, value))
+        self.check(values, path)
         return self.build(*values)
+
+    def received(self, obj):
+        """``decode(encode(obj))`` for an ``obj`` that passed the check,
+        built from its values, not from the text; see :func:`wire_float`
+        for why the check need not run again."""
+        # a plain float is only ever in a float field: wire_float inlined, a call less per field
+        return self.build(*[float(format(value, ".9g")) + 0.0 if type(value) is float else read(value)
+                            for read, value in zip(self._reads, self.values(obj))])
 
 
 class _Message(_Object):
@@ -282,41 +324,43 @@ def _renderer(kind):
     return encode_basestring if kind is str else _dumps
 
 
-def _convert(key: str, kind, value):
-    """``value`` as wire type ``kind`` when its JSON type is not ``kind``:
-    only nesting and an int in a float field; the check judges the rest."""
+def _reader(kind):
+    """The map from a checked value of wire type ``kind`` to the value the
+    decoder reads back for it (``str``, ``int`` and ``bool`` give the plain
+    value of a subclass, which is what JSON carries)."""
+    if isinstance(kind, _Object):
+        return kind.received
+    if isinstance(kind, list):
+        return lambda entries: [kind[0].received(entry) for entry in entries]
+    return wire_float if kind is float else kind
+
+
+def _convert(name: str, kind, value):
+    """``value`` of the field ``name`` as wire type ``kind`` when its JSON
+    type is not ``kind``: only nesting and an int in a float field; the
+    check judges the rest."""
     if kind is float and type(value) is int:
         try:
             return float(value)
         except OverflowError:
-            raise ValidationError(f"{key}: number out of range") from None
+            raise ValidationError(f"{name}: number out of range") from None
     if isinstance(kind, _Object):
         if type(value) is not dict:
-            raise ValidationError(f"{key}: expected an object, got {type(value).__name__}")
-        return kind.decode(value)
+            raise ValidationError(f"{name}: expected an object, got {type(value).__name__}")
+        return kind.decode(value, f"{name}.")
     if isinstance(kind, list):
         if type(value) is not list:
-            raise ValidationError(f"{key}: expected a list, got {type(value).__name__}")
-        return [_convert(f"{key}[{i}]", kind[0], entry) for i, entry in enumerate(value)]
+            raise ValidationError(f"{name}: expected a list, got {type(value).__name__}")
+        return [_convert(f"{name}[{i}]", kind[0], entry) for i, entry in enumerate(value)]
     return value
 
 
-def _decoded_pose(frame, x, y, z, yaw, timestamp) -> Pose:
-    """The Pose a decoded ``pose`` object holds, checked before ``Pose``
-    normalizes its yaw (which would read ``true`` as 1.0)."""
-    _POSE.check((frame, x, y, z, yaw, timestamp), "pose.")
-    return Pose(Vec3(x, y, z), yaw, FrameId.WEARABLE, timestamp)
-
-
-def _decoded_pose_msg(source_id, sequence, pose: Pose) -> PoseMsg:
-    """The PoseMsg a decoded message holds. ``_decoded_pose`` has checked
-    its pose, so only the fields before it are checked here, and the
-    constructor, whose check would walk the pose again, does not run."""
-    _WIRE[PoseMsg].check((source_id, sequence))  # check zips these with the first two wire keys
-    msg = object.__new__(PoseMsg)
-    for name, value in (("source_id", source_id), ("pose", pose), ("sequence", sequence)):
-        object.__setattr__(msg, name, value)
-    return msg
+def _new(cls: type, /, **fields):
+    """A ``cls`` dataclass object holding ``fields``, made without its
+    constructor's check or normalization."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _xyz(holder, name: str) -> tuple:
@@ -339,7 +383,9 @@ _POSE = _Object(
     Pose,
     (("frame", str, _WEARABLE), *_XYZ, ("yaw", float, _FINITE), ("timestamp", float, _NON_NEGATIVE)),
     lambda pose: (_frame_name(pose.frame), *pose.position.as_tuple(), pose.yaw, pose.timestamp),
-    _decoded_pose,
+    lambda frame, x, y, z, yaw, timestamp: _new(
+        Pose, position=_new(Vec3, x=x, y=y, z=z), yaw=wrap_angle(yaw), frame=FrameId.WEARABLE, timestamp=timestamp
+    ),
 )
 
 # The one statement of each message's wire keys, their order, their wire
@@ -349,27 +395,30 @@ _WIRE: dict[type, _Message] = {wire.cls: wire for wire in (
         PoseMsg, TOPIC_POSE, None,
         (("source_id", str, _NON_EMPTY), ("sequence", int, _UINT64), ("pose", _POSE, _ANY)),
         lambda m: (m.source_id, m.sequence, m.pose),
-        _decoded_pose_msg,
+        lambda source_id, sequence, pose: _new(PoseMsg, source_id=source_id, pose=pose, sequence=sequence),
     ),
     _Message(
         CommandMsg, TOPIC_CMD, "move",
         (("sequence", int, _UINT64), *_XYZ, ("yaw", float, _FINITE), ("speed", float, _POSITIVE)),
         lambda m: (m.sequence, *_xyz(m.target, "target"), m.yaw, m.speed),
-        lambda sequence, x, y, z, yaw, speed: CommandMsg(Vec3(x, y, z), yaw, speed, sequence),
+        lambda sequence, x, y, z, yaw, speed: _new(
+            CommandMsg, target=_new(Vec3, x=x, y=y, z=z), yaw=yaw, speed=speed, sequence=sequence
+        ),
     ),
     _Message(
         DetachMsg, TOPIC_CMD, "detach",
         (("sequence", int, _UINT64), ("waypoints", [_Object(Vec3, _XYZ, Vec3.as_tuple, Vec3)], _NON_EMPTY)),
         lambda m: (m.sequence, m.waypoints),
-        lambda sequence, waypoints: DetachMsg(waypoints, sequence),
+        lambda sequence, waypoints: _new(DetachMsg, waypoints=tuple(waypoints), sequence=sequence),
     ),
     _Message(
         DetectionMsg, TOPIC_DETECTIONS, None,
         (("object_id", str, _NON_EMPTY), ("label", str, _ANY), *_XYZ,
          ("confidence", float, _UNIT), ("timestamp", float, _NON_NEGATIVE)),
         lambda m: (m.object_id, m.label, *_xyz(m.position, "position"), m.confidence, m.timestamp),
-        lambda object_id, label, x, y, z, confidence, timestamp: DetectionMsg(
-            object_id, label, Vec3(x, y, z), confidence, timestamp
+        lambda object_id, label, x, y, z, confidence, timestamp: _new(
+            DetectionMsg, object_id=object_id, label=label, position=_new(Vec3, x=x, y=y, z=z),
+            confidence=confidence, timestamp=timestamp,
         ),
     ),
     _Message(
@@ -377,7 +426,10 @@ _WIRE: dict[type, _Message] = {wire.cls: wire for wire in (
         (("object_id", str, _NON_EMPTY), ("label", str, _ANY), ("distance", float, _NON_NEGATIVE),
          ("azimuth", float, _FINITE), ("blind_spot", bool, _ANY), ("timestamp", float, _NON_NEGATIVE)),
         lambda m: (m.object_id, m.label, m.distance, m.azimuth, m.blind_spot, m.timestamp),
-        CueMsg,
+        lambda object_id, label, distance, azimuth, blind_spot, timestamp: _new(
+            CueMsg, object_id=object_id, label=label, distance=distance, azimuth=wrap_azimuth(azimuth),
+            blind_spot=blind_spot, timestamp=timestamp,
+        ),
     ),
 )}
 _BY_TOPIC = {wire.topic: wire for wire in _WIRE.values() if wire.kind is None}
@@ -390,6 +442,13 @@ def encode_message(msg: Message) -> bytes:
     if wire is None:
         raise ValidationError(f"unknown message type {type(msg).__name__}")
     return wire.encode(msg).encode("utf-8")
+
+
+def wire_message(msg: Message) -> Message:
+    """The message that ``decode_message`` returns for ``encode_message(msg)``,
+    equal in every field, type and sign of zero, built from ``msg``
+    without the text: what the loopback hands its subscribers."""
+    return _WIRE[type(msg)].received(msg)
 
 
 def decode_message(topic: str, payload: bytes) -> Message:

@@ -55,6 +55,7 @@ from wingman.protocol import (
     encode_message,
     format_float,
     render_float,
+    wire_message,
 )
 from wingman.transport import Broker, MemoryTransport, MqttClient, SocketTransport, TcpBrokerServer
 from wingman.transport.broker import DEFAULT_PORT
@@ -190,7 +191,7 @@ class _SimCore:
                 self._next_script_seq += 1
                 publish_operator(TOPIC_CMD, encode_message(order))
         truth, msg = self.wearable.next_pose()
-        publish_pose(TOPIC_POSE, encode_message(msg))
+        publish_pose(TOPIC_POSE, encode_message(msg), message=wire_message(msg))
         human_world = Pose(
             truth.position + self.cfg.human_start, truth.yaw, FrameId.WORLD, t
         )
@@ -207,7 +208,7 @@ class _SimCore:
         for detection in detect_objects(
             self.drone.world_pose(t), self.cfg.world, self.cfg.detector, self.det_rng
         ):
-            publish_detection(TOPIC_DETECTIONS, encode_message(detection))
+            publish_detection(TOPIC_DETECTIONS, encode_message(detection), message=wire_message(detection))
 
 
 _CLIENT_IDS = ("wearable", "follower", "cueing", "drone", "detector", "operator")

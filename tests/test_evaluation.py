@@ -372,7 +372,7 @@ def test_pruning_bounds_never_exceed_the_kernels_costs(monkeypatch):
 
 
 def test_pruning_bounds_are_skipped_on_small_inputs():
-    a, b = in_sync_circles(80, lag=1, turns=1)
+    a, b = in_sync_circles(128, lag=1, turns=1)  # 16,384 cells, the least that get bounds
     _, row_rest, col_rest = evaluation._prune_bounds(a[:6], b[:5])
     assert not row_rest.any() and not col_rest.any()
     _, row_rest, col_rest = evaluation._prune_bounds(a, b)

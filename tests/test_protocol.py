@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from wingman.protocol import (
     format_float,
     render_float,
     wire_float,
+    wire_message,
 )
 
 
@@ -445,3 +448,93 @@ def test_a_wrong_container_type_is_a_validation_error_naming_the_field():
                          (lambda: DetachMsg([xyz], 0), "waypoints[0]: expected a Vec3, got tuple")):
         with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
             make()
+
+
+# edges of the float fields: signed zeros, ints, the angle wraps, 9-digit
+# rounding (0.9999999995 writes as 1), subnormals and the largest float
+EDGE_FLOATS = [
+    0.0, -0.0, 0, 1, -7, 10**12 + 1, Count(3), np.float64(0.1),
+    math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
+    3.1415926535, -3.1415926535, 0.9999999995, 0.99999999951, 1.0000000005, 123456789.5,
+    5e-324, -5e-324, 2.5e-320, sys.float_info.min, sys.float_info.max, -sys.float_info.max,
+]
+
+
+def draw_float(rng: random.Random):
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.choice(EDGE_FLOATS)
+    if roll < 0.6:
+        return math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1024))
+    if roll < 0.7:
+        return rng.randint(-(10**6), 10**6)
+    return rng.uniform(-10.0, 10.0)
+
+
+def draw_vec3(rng: random.Random) -> Vec3:
+    return Vec3(draw_float(rng), draw_float(rng), draw_float(rng))
+
+
+HANDED = [
+    (TOPIC_POSE, lambda rng: PoseMsg(
+        rng.choice(["w", "wearable", "é中"]),
+        Pose(draw_vec3(rng), draw_float(rng), FrameId.WEARABLE, draw_float(rng)),
+        rng.choice([0, Count(5), 2**64 - 1, rng.randrange(2**32)]),
+    )),
+    (TOPIC_CMD, lambda rng: CommandMsg(draw_vec3(rng), draw_float(rng), draw_float(rng), rng.randrange(2**64))),
+    (TOPIC_CMD, lambda rng: DetachMsg([draw_vec3(rng) for _ in range(rng.randint(1, 3))], rng.randrange(9))),
+    (TOPIC_DETECTIONS, lambda rng: DetectionMsg(
+        f"obj-{rng.randrange(9)}", rng.choice(["", "chair", "caf\u00e9 \"q\""]),
+        draw_vec3(rng), draw_float(rng), draw_float(rng),
+    )),
+    (TOPIC_CUES, lambda rng: CueMsg(
+        "o", "box", draw_float(rng), draw_float(rng), rng.random() < 0.5, draw_float(rng)
+    )),
+]
+
+
+def leaves(value, path="msg"):
+    """(path, type, exact text) of every value a message holds, nested ones
+    included; repr tells -0.0 from 0.0 and gives a float's exact value."""
+    if dataclasses.is_dataclass(value):
+        yield path, type(value), ""
+        for f in dataclasses.fields(value):
+            yield from leaves(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, (list, tuple)):
+        yield path, type(value), len(value)
+        for i, entry in enumerate(value):
+            yield from leaves(entry, f"{path}[{i}]")
+    else:
+        yield path, type(value), repr(value)
+
+
+@pytest.mark.parametrize("topic,draw", HANDED, ids=["pose", "move", "detach", "detection", "cue"])
+def test_handed_message_is_the_decoded_message(topic, draw):
+    # the loopback hands wire_message(m) instead of the payload; it must be
+    # what the subscriber would decode, field by field, type by type, sign by sign
+    rng = random.Random(21)
+    built = 0
+    while built < 400:
+        try:
+            msg = draw(rng)
+        except (ValidationError, ValueError):  # a draw a rule (or Pose) refuses
+            continue
+        built += 1
+        decoded = decode_message(topic, encode_message(msg))
+        handed = wire_message(msg)
+        assert list(leaves(handed)) == list(leaves(decoded)), msg
+        assert handed == decoded
+
+
+def test_wire_float_is_what_a_float_field_decodes_to():
+    doc = json.loads(encode_message(DetectionMsg("a", "b", Vec3(), 0.5, 1.5)))
+    for value in EDGE_FLOATS:
+        if value != value + 0 or abs(value) > sys.float_info.max:
+            continue
+        doc["x"] = json.loads(render_float(value))
+        decoded = decode_message(TOPIC_DETECTIONS, json.dumps(doc).encode()).position.x
+        assert repr(wire_float(value)) == repr(decoded), value
+    assert math.copysign(1.0, wire_float(-0.0)) == 1.0
+    assert wire_float(0.99999999951) == 1.0
+    assert wire_float(10**12 + 1) == 1000000000001.0  # an int is written in full
+    assert 0.0 < wire_float(5e-324) and wire_float(sys.float_info.max) < math.inf

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import threading
 import tracemalloc
 from collections import Counter
 from json.encoder import encode_basestring
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wingman import scenario
+from wingman import cueing, follower, scenario
 from wingman.agents import world_to_drone_frame
 from wingman.geometry import FrameId, Pose, Vec3
 from wingman.protocol import (
@@ -299,6 +300,39 @@ def test_sample_config_artifacts_are_pinned_through_the_codec(name, tmp_path, mo
 def test_loopback_run_neither_frames_nor_parses_a_packet(tmp_path, codec_calls):
     run_scenario(load_config(CONFIGS / "demo.json"), out_dir=tmp_path)
     assert codec_calls == {}
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Counts of ``decode_message`` calls by the follower and the cue
+    engine, keyed by (module, topic); safe from reader threads."""
+    calls = Counter()
+    lock = threading.Lock()
+
+    for module in (follower, cueing):
+        def counting(topic, payload, name=module.__name__.rsplit(".", 1)[1], decode=module.decode_message):
+            with lock:
+                calls[name, topic] += 1
+            return decode(topic, payload)
+
+        monkeypatch.setattr(module, "decode_message", counting)
+    return calls
+
+
+def test_loopback_subscribers_decode_no_pose_or_detection(decode_calls):
+    trace, _ = run_scenario(load_config(CONFIGS / "demo.json"))
+    logged = Counter(topic for _, topic, _ in trace.messages)
+    assert logged[TOPIC_POSE] == 600 and logged[TOPIC_DETECTIONS] > 100
+    # poses and detections are handed over with their payloads; commands
+    # are not, so the follower still decodes each one it hears
+    assert decode_calls == {("follower", TOPIC_CMD): logged[TOPIC_CMD]}
+
+
+def test_sockets_subscribers_still_decode_poses_and_detections(decode_calls):
+    cfg = load_config(CONFIGS / "demo.json", {"mode": "sockets", "duration": 1.5, "broker_port": 0})
+    run_scenario(cfg)
+    for key in (("follower", TOPIC_POSE), ("cueing", TOPIC_POSE), ("cueing", TOPIC_DETECTIONS)):
+        assert decode_calls[key] > 0, key
 
 
 ODD_MESSAGES = [
