@@ -237,12 +237,18 @@ class FollowerLoop:
         self._last_seq: dict[str, int] = {}
         self._last_t: float | None = None
         self._next_cmd_seq = 0
+        self._sent: bytes | None = None  # the payload of the last command published
         self._lock = threading.Lock()
 
     def on_message(self, topic: str, payload: bytes, *, message: Message | None = None) -> None:
         """Handle one payload; a ``message`` handed with it is what it
-        decodes to, and is used without decoding the payload."""
-        if topic not in (TOPIC_POSE, TOPIC_CMD):
+        decodes to, and is used without decoding the payload.
+
+        The loopback delivers this loop's own command back as the very
+        payload object it published; that is dropped undecoded, as the
+        ``CommandMsg`` it holds would be. Over TCP every payload is a new
+        object, so each one is decoded."""
+        if payload is self._sent or topic not in (TOPIC_POSE, TOPIC_CMD):
             return
         msg = message
         if msg is None:
@@ -341,7 +347,8 @@ class FollowerLoop:
         msg = CommandMsg(cmd.target, cmd.yaw, cmd.speed, self._next_cmd_seq)
         self._next_cmd_seq += 1
         if self.publish is not None:
-            self.publish(TOPIC_CMD, encode_message(msg))
+            self._sent = encode_message(msg)
+            self.publish(TOPIC_CMD, self._sent)
 
     def _emit(self, t: float, name: str, data: dict) -> None:
         if self.on_event is not None:

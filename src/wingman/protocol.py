@@ -29,15 +29,18 @@ types and ranges to the same check, run on each object's values before
 they are built into it (so a pose is checked before ``Pose`` normalizes
 its yaw, and only then). It never fabricates defaults.
 
-:func:`wire_message` builds, from a message, the message that decoding
-its encoding gives, without the text: each float field through
-:func:`wire_float`, then the decoder's build. The in-process loopback
-hands that object to subscribers with the payload, so they need not
-decode it; a subscriber over TCP still decodes, and only it can reject a
-payload. Only poses and detections are handed: both ends of the command
-path stay ``(topic, payload)`` callbacks, which the benchmark in
-``bench/`` overrides, and no loopback client subscribes to cues in a run.
-docs/protocol.md says more.
+:func:`render_message` gives, in one pass, a message's payload and the
+message that decoding that payload gives: each float is formatted once,
+its text goes into the JSON, and the float it reads back as (see
+:func:`wire_float`) into the decoder's build. The in-process loopback
+publishes that payload and hands that object to subscribers with it, so
+they need not decode it; a subscriber over TCP still decodes, and only
+it can reject a payload. Only poses and detections are handed: both ends
+of the command path stay ``(topic, payload)`` callbacks, which the
+benchmark in ``bench/`` overrides, and no loopback client subscribes to
+cues in a run. The follower does not decode the commands it publishes
+itself: on the loopback the broker hands its own payload object back,
+and it drops that by identity. docs/protocol.md says more.
 """
 
 from __future__ import annotations
@@ -82,12 +85,13 @@ def wire_float(x: float) -> float:
     written in full, so it reads back as ``float(x)``.
 
     On a value that a field's rule admits, the result is admitted too, so
-    :func:`wire_message` needs no check. Both roundings are monotone and
-    fix 0 and 1, so ``>= 0`` and ``[0, 1]`` hold; ``x <= max`` gives
-    ``1.79769313e308 < max``, so finite stays finite; and ``x > 0`` means
-    ``x >= 5e-324``, which writes as ``4.94065646e-324``, more than half
-    the least positive float, so it reads back positive. An int is read
-    as the check reads it, ``float(x)``, which is what the rule judged.
+    the message :func:`render_message` builds needs no check. Both
+    roundings are monotone and fix 0 and 1, so ``>= 0`` and ``[0, 1]``
+    hold; ``x <= max`` gives ``1.79769313e308 < max``, so finite stays
+    finite; and ``x > 0`` means ``x >= 5e-324``, which writes as
+    ``4.94065646e-324``, more than half the least positive float, so it
+    reads back positive. An int is read as the check reads it,
+    ``float(x)``, which is what the rule judged.
     """
     return float(format(x, ".9g") if type(x) is float else _dumps(x)) + 0.0  # render_float inlined: a call less
 
@@ -223,7 +227,7 @@ class _Object:
     ``cls`` object to its values in key order; ``build`` makes one from
     them as the decoder reads them, and normalizes what the constructor
     normalizes, but runs no check: ``decode`` checks the values before,
-    and ``received`` builds from values that keep the check's verdict.
+    and ``render`` builds from values that keep the check's verdict.
     """
 
     head = "{"
@@ -231,8 +235,10 @@ class _Object:
     def __init__(self, cls: type, fields: tuple[tuple[str, object, _Rule], ...], values, build) -> None:
         self.cls, self.fields, self.values, self.build = cls, fields, values, build
         self.keys = {key for key, _, _ in fields}
-        self._renders = tuple((json.dumps(key) + ":", _renderer(kind)) for key, kind, _ in fields)
-        self._reads = tuple(_reader(kind) for _, kind, _ in fields)
+        keys = [json.dumps(key) + ":" for key, _, _ in fields]
+        kinds = [kind for _, kind, _ in fields]
+        self._renders = tuple(zip(keys, map(_renderer, kinds)))
+        self._passes = tuple(zip(keys, map(_passer, kinds)))
 
     def encode(self, obj) -> str:
         parts = [key + render(value) for (key, render), value in zip(self._renders, self.values(obj))]
@@ -286,13 +292,27 @@ class _Object:
         self.check(values, path)
         return self.build(*values)
 
-    def received(self, obj):
-        """``decode(encode(obj))`` for an ``obj`` that passed the check,
-        built from its values, not from the text; see :func:`wire_float`
-        for why the check need not run again."""
-        # a plain float is only ever in a float field: wire_float inlined, a call less per field
-        return self.build(*[float(format(value, ".9g")) + 0.0 if type(value) is float else read(value)
-                            for read, value in zip(self._reads, self.values(obj))])
+    def render(self, obj) -> tuple[str, object]:
+        """``encode(obj)`` and the object that decoding it gives, for an
+        ``obj`` that passed the check, from one rendering of each value: a
+        float's text goes into the JSON and is read back as the decoder
+        reads it; see :func:`wire_float` for why the check need not run
+        again."""
+        parts, values = [], []
+        for (key, render_field), value in zip(self._passes, self.values(obj)):
+            # the check lets a plain float only into a float field and a plain
+            # str only into a string field: their passes inlined, a call less
+            cls = type(value)
+            if cls is float:
+                text = format(value, ".9g")
+                value = float(text) + 0.0
+            elif cls is str:
+                text = encode_basestring(value)
+            else:
+                text, value = render_field(value)
+            parts.append(key + text)
+            values.append(value)
+        return self.head + ",".join(parts) + "}", self.build(*values)
 
 
 class _Message(_Object):
@@ -324,15 +344,22 @@ def _renderer(kind):
     return encode_basestring if kind is str else _dumps
 
 
-def _reader(kind):
-    """The map from a checked value of wire type ``kind`` to the value the
-    decoder reads back for it (``str``, ``int`` and ``bool`` give the plain
-    value of a subclass, which is what JSON carries)."""
+def _passer(kind):
+    """The map from a checked value of wire type ``kind`` to its text and
+    the value the decoder reads back from that text: a number field's
+    through :func:`wire_float`, and ``str``, ``int`` and ``bool`` the plain
+    value of a subclass, which is what JSON carries. ``render`` inlines
+    the passes of a plain float and a plain str, the values a run sends."""
     if isinstance(kind, _Object):
-        return kind.received
+        return kind.render
     if isinstance(kind, list):
-        return lambda entries: [kind[0].received(entry) for entry in entries]
-    return wire_float if kind is float else kind
+        def render_list(entries):
+            rendered = [kind[0].render(entry) for entry in entries]
+            return "[" + ",".join([text for text, _ in rendered]) + "]", [obj for _, obj in rendered]
+        return render_list
+    render = _renderer(kind)
+    read = wire_float if kind is float else kind
+    return lambda value: (render(value), read(value))
 
 
 def _convert(name: str, kind, value):
@@ -444,11 +471,16 @@ def encode_message(msg: Message) -> bytes:
     return wire.encode(msg).encode("utf-8")
 
 
-def wire_message(msg: Message) -> Message:
-    """The message that ``decode_message`` returns for ``encode_message(msg)``,
-    equal in every field, type and sign of zero, built from ``msg``
-    without the text: what the loopback hands its subscribers."""
-    return _WIRE[type(msg)].received(msg)
+def render_message(msg: Message) -> tuple[bytes, Message]:
+    """``(encode_message(msg), decode_message(topic, encode_message(msg)))``
+    from one rendering of each value: the payload, and the message equal
+    to what decoding it gives in every field, type and sign of zero, built
+    without parsing the text. What the loopback publishes and hands over."""
+    wire = _WIRE.get(type(msg))
+    if wire is None:
+        raise ValidationError(f"unknown message type {type(msg).__name__}")
+    text, message = wire.render(msg)
+    return text.encode("utf-8"), message
 
 
 def decode_message(topic: str, payload: bytes) -> Message:

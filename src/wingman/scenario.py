@@ -55,7 +55,7 @@ from wingman.protocol import (
     encode_message,
     format_float,
     render_float,
-    wire_message,
+    render_message,
 )
 from wingman.transport import Broker, MemoryTransport, MqttClient, SocketTransport, TcpBrokerServer
 from wingman.transport.broker import DEFAULT_PORT
@@ -191,7 +191,8 @@ class _SimCore:
                 self._next_script_seq += 1
                 publish_operator(TOPIC_CMD, encode_message(order))
         truth, msg = self.wearable.next_pose()
-        publish_pose(TOPIC_POSE, encode_message(msg), message=wire_message(msg))
+        payload, handed = render_message(msg)
+        publish_pose(TOPIC_POSE, payload, message=handed)
         human_world = Pose(
             truth.position + self.cfg.human_start, truth.yaw, FrameId.WORLD, t
         )
@@ -208,7 +209,8 @@ class _SimCore:
         for detection in detect_objects(
             self.drone.world_pose(t), self.cfg.world, self.cfg.detector, self.det_rng
         ):
-            publish_detection(TOPIC_DETECTIONS, encode_message(detection), message=wire_message(detection))
+            payload, handed = render_message(detection)
+            publish_detection(TOPIC_DETECTIONS, payload, message=handed)
 
 
 _CLIENT_IDS = ("wearable", "follower", "cueing", "drone", "detector", "operator")

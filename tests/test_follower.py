@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import pose_msg_bytes
+from wingman import follower as follower_module
 from wingman.follower import (
     DetachOrder,
     FollowerConfig,
@@ -279,6 +280,20 @@ def test_loop_ignores_its_own_move_commands():
     loop.on_message(TOPIC_CMD, encode_message(CommandMsg(Vec3(1, 0, 0), 0.0, 1.0, 0)))
     assert bus.commands == []
     assert loop.mission.mode is Mode.FOLLOW
+
+
+def test_loop_decodes_no_payload_it_published_itself(monkeypatch):
+    bus = Bus()
+    loop, _ = make_loop(bus, max_speed=10.0)
+    loop.on_message(TOPIC_POSE, pose_msg_bytes(0, 0.0, 0.0, 0.0))
+    loop.on_message(TOPIC_POSE, pose_msg_bytes(1, 0.1, 0.1, 0.0))
+    [(topic, own)] = bus.raw
+    decoded = []
+    monkeypatch.setattr(follower_module, "decode_message", lambda *args: decoded.append(args))
+    loop.on_message(topic, own)  # the loopback hands back the very object
+    assert decoded == []
+    loop.on_message(topic, bytes(bytearray(own)))  # over TCP: an equal, new object
+    assert decoded == [(topic, own)]
 
 
 def test_loop_full_boomerang_over_messages():

@@ -32,8 +32,8 @@ from wingman.protocol import (
     encode_message,
     format_float,
     render_float,
+    render_message,
     wire_float,
-    wire_message,
 )
 
 
@@ -451,12 +451,12 @@ def test_a_wrong_container_type_is_a_validation_error_naming_the_field():
 
 
 # edges of the float fields: signed zeros, ints, the angle wraps, 9-digit
-# rounding (0.9999999995 writes as 1), subnormals and the largest float
+# rounding (0.9999999995 writes as 1), subnormals and the largest floats
 EDGE_FLOATS = [
-    0.0, -0.0, 0, 1, -7, 10**12 + 1, Count(3), np.float64(0.1),
+    0.0, -0.0, 0, 1, -7, 10**12 + 1, Count(3), np.float64(0.1), np.float64(2 / 3),
     math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0),
     3.1415926535, -3.1415926535, 0.9999999995, 0.99999999951, 1.0000000005, 123456789.5,
-    5e-324, -5e-324, 2.5e-320, sys.float_info.min, sys.float_info.max, -sys.float_info.max,
+    5e-324, -5e-324, 2.5e-320, sys.float_info.min, 1.79e308, -1.79e308, sys.float_info.max, -sys.float_info.max,
 ]
 
 
@@ -488,7 +488,8 @@ HANDED = [
         draw_vec3(rng), draw_float(rng), draw_float(rng),
     )),
     (TOPIC_CUES, lambda rng: CueMsg(
-        "o", "box", draw_float(rng), draw_float(rng), rng.random() < 0.5, draw_float(rng)
+        rng.choice(["o", "\u00e9\u4e2d"]), rng.choice(["box", "caf\u00e9 \U0001f600", "\u2028"]),
+        draw_float(rng), draw_float(rng), rng.random() < 0.5, draw_float(rng),
     )),
 ]
 
@@ -509,9 +510,11 @@ def leaves(value, path="msg"):
 
 
 @pytest.mark.parametrize("topic,draw", HANDED, ids=["pose", "move", "detach", "detection", "cue"])
-def test_handed_message_is_the_decoded_message(topic, draw):
-    # the loopback hands wire_message(m) instead of the payload; it must be
-    # what the subscriber would decode, field by field, type by type, sign by sign
+def test_rendered_payload_is_the_encoding_and_message_its_decoding(topic, draw):
+    # the loopback publishes the payload of render_message(m) and hands its
+    # message instead of the payload: the payload must be the encoding, byte
+    # for byte, and the message what a subscriber would decode from it,
+    # field by field, type by type, sign by sign
     rng = random.Random(21)
     built = 0
     while built < 400:
@@ -520,10 +523,16 @@ def test_handed_message_is_the_decoded_message(topic, draw):
         except (ValidationError, ValueError):  # a draw a rule (or Pose) refuses
             continue
         built += 1
-        decoded = decode_message(topic, encode_message(msg))
-        handed = wire_message(msg)
+        payload, handed = render_message(msg)
+        assert payload == encode_message(msg), msg
+        decoded = decode_message(topic, payload)
         assert list(leaves(handed)) == list(leaves(decoded)), msg
         assert handed == decoded
+
+
+def test_render_message_refuses_what_encode_message_refuses():
+    with pytest.raises(ValidationError, match="^unknown message type Vec3$"):
+        render_message(Vec3())
 
 
 def test_wire_float_is_what_a_float_field_decodes_to():

@@ -322,10 +322,15 @@ def decode_calls(monkeypatch):
 def test_loopback_subscribers_decode_no_pose_or_detection(decode_calls):
     trace, _ = run_scenario(load_config(CONFIGS / "demo.json"))
     logged = Counter(topic for _, topic, _ in trace.messages)
-    assert logged[TOPIC_POSE] == 600 and logged[TOPIC_DETECTIONS] > 100
-    # poses and detections are handed over with their payloads; commands
-    # are not, so the follower still decodes each one it hears
-    assert decode_calls == {("follower", TOPIC_CMD): logged[TOPIC_CMD]}
+    assert logged[TOPIC_POSE] == 600 and logged[TOPIC_DETECTIONS] > 100 and logged[TOPIC_CMD] > 100
+    # poses and detections are handed over with their payloads, and the
+    # follower drops the commands it published itself undecoded
+    assert decode_calls == {}
+    # so on the loopback it decodes only the operator's detach orders
+    cfg = load_config(CONFIGS / "boomerang.json")
+    trace, _ = run_scenario(cfg)
+    assert len(cfg.detach_script) == 1 and "DETACH" in {row.mode for row in trace.rows}
+    assert decode_calls == {("follower", TOPIC_CMD): len(cfg.detach_script)}
 
 
 def test_sockets_subscribers_still_decode_poses_and_detections(decode_calls):
@@ -458,6 +463,17 @@ def test_sockets_mode_smoke():
     # and the drone hears its commands
     assert any(topic == TOPIC_CMD for _, topic, _ in trace.messages)
     assert any(row.command is not None for row in trace.rows)
+
+
+def test_sockets_mode_follower_hears_the_operator():
+    # over TCP the follower decodes every command it hears, so the detach
+    # order still reaches it among its own commands; the waypoint is far
+    # enough that the leg outlasts the run
+    cfg = base_cfg(duration=2.0, mode="sockets", broker_port=0,
+                   detach=[{"t": 0.5, "waypoints": [[2.0, 0, 2.0]]}])
+    trace, _ = run_scenario(cfg)
+    assert [event["event"] for event in trace.events] == ["detach_started"]
+    assert "DETACH" in [row.mode for row in trace.rows]
 
 
 def test_sockets_mode_bind_failure_is_runtime_error():
