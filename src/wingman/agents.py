@@ -224,12 +224,6 @@ def drone_frame_to_world(p: Vec3, origin: Vec3) -> Vec3:
     return Vec3(origin.x + p.z, origin.y + p.y, origin.z - p.x)
 
 
-def world_to_drone_frame(p: Vec3, origin: Vec3) -> Vec3:
-    """World position -> drone frame; inverse of drone_frame_to_world."""
-    d = p - origin
-    return Vec3(-d.z, d.y, d.x)
-
-
 class DroneAgent:
     """Drone simulator fed by move commands from the command topic."""
 

@@ -50,24 +50,12 @@ class AttentionModel:
         return distance <= self.cue_range
 
 
-def is_in_blindspot(human: Pose, point: Vec3, fov: float) -> bool:
-    """True iff the point lies outside the human's forward field of view.
-
-    A horizontally coincident point is not a blind spot (degenerate case).
-    """
-    if not 0 < fov <= 2 * math.pi:
-        raise ValueError(f"fov must be in (0, 2*pi], got {fov}")
-    distance, azimuth = relative_polar(human, point)
-    return _outside_fov(distance, azimuth, fov)
-
-
-def _outside_fov(distance: float, azimuth: float, fov: float) -> bool:
-    """Blind-spot rule on a human-relative polar position."""
-    return distance != 0.0 and abs(azimuth) > fov / 2
-
-
 def make_cue(human: Pose, detection: DetectionMsg, model: AttentionModel) -> CueMsg | None:
-    """Human-relative cue for a detection, or None beyond the cue range."""
+    """Human-relative cue for a detection, or None beyond the cue range.
+
+    The object is in a blind spot when it lies outside the human's forward
+    field of view; a horizontally coincident object is not (degenerate case).
+    """
     distance, azimuth = relative_polar(human, detection.position)
     if not model.in_range(distance):
         return None
@@ -76,7 +64,7 @@ def make_cue(human: Pose, detection: DetectionMsg, model: AttentionModel) -> Cue
         label=detection.label,
         distance=distance,
         azimuth=azimuth,
-        blind_spot=_outside_fov(distance, azimuth, model.human_fov),
+        blind_spot=distance != 0.0 and abs(azimuth) > model.human_fov / 2,
         timestamp=detection.timestamp,
     )
 

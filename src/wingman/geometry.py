@@ -112,19 +112,6 @@ def wearable_delta_to_drone_delta(delta: Vec3) -> Vec3:
     return Vec3(-delta.z, 0.0, delta.x)
 
 
-def drone_delta_to_wearable_delta(delta: Vec3) -> Vec3:
-    """Exact horizontal inverse of :func:`wearable_delta_to_drone_delta`."""
-    _require_finite(delta, "drone_delta_to_wearable_delta")
-    return Vec3(delta.z, 0.0, -delta.x)
-
-
-def rotate_y(v: Vec3, angle: float) -> Vec3:
-    """Rotate ``v`` about +y so its facing angle increases by ``angle``."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return Vec3(v.x * c - v.z * s, v.y, v.x * s + v.z * c)
-
-
 def relative_polar(observer: Pose, target: Vec3) -> tuple[float, float]:
     """Horizontal (distance, azimuth) of ``target`` as seen from ``observer``.
 

@@ -5,15 +5,16 @@ Topic -> schema binding is closed: ``tagteam/pose`` carries PoseMsg,
 ``kind`` field), ``tagteam/detections`` carries DetectionMsg and
 ``tagteam/cues`` carries CueMsg. The table ``_WIRE`` below is the one
 source of each message's wire keys, their order, their wire types and
-each field's constraint; one encoder, one decoder and one check read it.
-docs/protocol.md describes what the fields mean.
+each field's constraint; one rendering walk, one decoder and one check
+read it. docs/protocol.md describes what the fields mean.
 
 Encoding is canonical: fixed key order, floats rendered with 9
-significant digits, no whitespace. Float fields therefore live on the
-wire-precision grid; :func:`wire_float` maps an arbitrary float onto it.
-For any message whose floats are wire-precision values (everything that
-came out of :func:`decode_message` qualifies), decode(encode(m)) == m and
-byte equality implies message equality.
+significant digits, no whitespace, and an int or float subclass written
+by its plain value. Float fields therefore live on the wire-precision
+grid; :func:`wire_float` maps an arbitrary float onto it. For any message
+whose floats are wire-precision values (everything that came out of
+:func:`decode_message` qualifies), decode(encode(m)) == m and byte
+equality implies message equality.
 
 Every constructor runs the check, so every message can be encoded: a
 field takes only values of a type the encoder writes (for a float, a
@@ -29,18 +30,14 @@ types and ranges to the same check, run on each object's values before
 they are built into it (so a pose is checked before ``Pose`` normalizes
 its yaw, and only then). It never fabricates defaults.
 
-:func:`render_message` gives, in one pass, a message's payload and the
-message that decoding that payload gives: each float is formatted once,
-its text goes into the JSON, and the float it reads back as (see
-:func:`wire_float`) into the decoder's build. The in-process loopback
-publishes that payload and hands that object to subscribers with it, so
-they need not decode it; a subscriber over TCP still decodes, and only
-it can reject a payload. Only poses and detections are handed: both ends
-of the command path stay ``(topic, payload)`` callbacks, which the
-benchmark in ``bench/`` overrides, and no loopback client subscribes to
-cues in a run. The follower does not decode the commands it publishes
-itself: on the loopback the broker hands its own payload object back,
-and it drops that by identity. docs/protocol.md says more.
+:func:`render_message` is the one walk over the table: in one pass it
+gives a message's payload and the message that decoding the payload
+gives, each float formatted once, its text in the JSON and the float it
+reads back as (see :func:`wire_float`) in the decoder's build.
+:func:`encode_message` is its payload, without the build. The loopback
+hands poses and detections to subscribers with their payload, so they
+need not decode it; docs/protocol.md says which messages are handed, and
+why the rest are not.
 """
 
 from __future__ import annotations
@@ -76,13 +73,14 @@ def format_float(x: float) -> str:
 
 
 def wire_float(x: float) -> float:
-    """The float that a number field holding ``x`` decodes to.
+    """The float that a number field holding ``x`` decodes to:
+    ``float(canonical_json(x)) + 0.0``, the text the encoder writes for
+    ``x`` read back as the decoder reads it.
 
-    For a float that is ``float(format(x, ".9g")) + 0.0``: ``x`` rounded to
-    9 significant digits as the encoder writes it, then to the nearest
-    float as the decoder reads it. The ``+ 0.0`` is the decoder's sign of
-    zero: it reads ``-0`` as the integer 0, so as ``0.0``. An int is
-    written in full, so it reads back as ``float(x)``.
+    For a float that text is ``x`` rounded to 9 significant digits, and
+    reading it rounds to the nearest float. The ``+ 0.0`` is the decoder's
+    sign of zero: it reads ``-0`` as the integer 0, so as ``0.0``. An int
+    is written in full, so it reads back as ``float(x)``.
 
     On a value that a field's rule admits, the result is admitted too, so
     the message :func:`render_message` builds needs no check. Both
@@ -93,28 +91,25 @@ def wire_float(x: float) -> float:
     reads back positive. An int is read as the check reads it,
     ``float(x)``, which is what the rule judged.
     """
-    return float(format(x, ".9g") if type(x) is float else _dumps(x)) + 0.0  # render_float inlined: a call less
+    return float(canonical_json(x)) + 0.0
 
 
 def canonical_json(value) -> str:
-    """Deterministic JSON text: insertion key order, 9-digit floats."""
-    return _dumps(value)
-
-
-def _dumps(value) -> str:
+    """Deterministic JSON text: insertion key order, 9-digit floats, and an
+    int or float subclass written by its plain value, not by its own str."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        return str(int(value))
     if isinstance(value, float):
-        return format_float(value)
+        return format(float(value), ".9g")
     if isinstance(value, str):
         return encode_basestring(value)  # as json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
         # keys ASCII-escaped, as json.dumps writes them; a non-str key is a TypeError
-        return "{" + ",".join(f"{encode_basestring_ascii(k)}:{_dumps(v)}" for k, v in value.items()) + "}"
+        return "{" + ",".join(f"{encode_basestring_ascii(k)}:{canonical_json(v)}" for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_dumps(v) for v in value) + "]"
+        return "[" + ",".join(canonical_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -235,14 +230,7 @@ class _Object:
     def __init__(self, cls: type, fields: tuple[tuple[str, object, _Rule], ...], values, build) -> None:
         self.cls, self.fields, self.values, self.build = cls, fields, values, build
         self.keys = {key for key, _, _ in fields}
-        keys = [json.dumps(key) + ":" for key, _, _ in fields]
-        kinds = [kind for _, kind, _ in fields]
-        self._renders = tuple(zip(keys, map(_renderer, kinds)))
-        self._passes = tuple(zip(keys, map(_passer, kinds)))
-
-    def encode(self, obj) -> str:
-        parts = [key + render(value) for (key, render), value in zip(self._renders, self.values(obj))]
-        return self.head + ",".join(parts) + "}"
+        self._passes = tuple((json.dumps(key) + ":", _passer(kind)) for key, kind, _ in fields)
 
     def check(self, values, path: str = "", nested: bool = False) -> None:
         """Raise ValidationError naming the first value the encoder cannot
@@ -292,12 +280,12 @@ class _Object:
         self.check(values, path)
         return self.build(*values)
 
-    def render(self, obj) -> tuple[str, object]:
-        """``encode(obj)`` and the object that decoding it gives, for an
-        ``obj`` that passed the check, from one rendering of each value: a
-        float's text goes into the JSON and is read back as the decoder
-        reads it; see :func:`wire_float` for why the check need not run
-        again."""
+    def render(self, obj) -> tuple[str, list]:
+        """The JSON text of ``obj``, which passed the check, and the values,
+        in key order, that decoding that text gives ``build``, from one
+        rendering of each value: a float's text goes into the JSON and is
+        read back as the decoder reads it; see :func:`wire_float` for why
+        the check need not run again. A nested object's value is built."""
         parts, values = [], []
         for (key, render_field), value in zip(self._passes, self.values(obj)):
             # the check lets a plain float only into a float field and a plain
@@ -312,7 +300,7 @@ class _Object:
                 text, value = render_field(value)
             parts.append(key + text)
             values.append(value)
-        return self.head + ",".join(parts) + "}", self.build(*values)
+        return self.head + ",".join(parts) + "}", values
 
 
 class _Message(_Object):
@@ -328,22 +316,6 @@ class _Message(_Object):
         self.head = f'{{"v":{MESSAGE_VERSION},' + (f'"kind":{json.dumps(kind)},' if kind else "")
 
 
-def render_float(value) -> str:
-    """``_dumps(value)`` for a float field, without its type walk for a plain float."""
-    return format(value, ".9g") if type(value) is float else _dumps(value)
-
-
-def _renderer(kind):
-    if isinstance(kind, _Object):
-        return kind.encode
-    if isinstance(kind, list):
-        return lambda entries: "[" + ",".join(map(kind[0].encode, entries)) + "]"
-    if kind is float:
-        return render_float
-    # encode_basestring writes a str exactly as json.dumps(s, ensure_ascii=False) does
-    return encode_basestring if kind is str else _dumps
-
-
 def _passer(kind):
     """The map from a checked value of wire type ``kind`` to its text and
     the value the decoder reads back from that text: a number field's
@@ -351,15 +323,18 @@ def _passer(kind):
     value of a subclass, which is what JSON carries. ``render`` inlines
     the passes of a plain float and a plain str, the values a run sends."""
     if isinstance(kind, _Object):
-        return kind.render
+        def render_object(obj):
+            text, values = kind.render(obj)
+            return text, kind.build(*values)
+        return render_object
     if isinstance(kind, list):
+        render_entry = _passer(kind[0])
         def render_list(entries):
-            rendered = [kind[0].render(entry) for entry in entries]
+            rendered = [render_entry(entry) for entry in entries]
             return "[" + ",".join([text for text, _ in rendered]) + "]", [obj for _, obj in rendered]
         return render_list
-    render = _renderer(kind)
-    read = wire_float if kind is float else kind
-    return lambda value: (render(value), read(value))
+    read = {float: wire_float, int: int, str: str.__str__, bool: bool}[kind]
+    return lambda value: (canonical_json(value), read(value))
 
 
 def _convert(name: str, kind, value):
@@ -464,11 +439,9 @@ _BY_KIND = {wire.kind: wire for wire in _WIRE.values() if wire.kind is not None}
 
 
 def encode_message(msg: Message) -> bytes:
-    """Canonical JSON bytes for one message."""
-    wire = _WIRE.get(type(msg))
-    if wire is None:
-        raise ValidationError(f"unknown message type {type(msg).__name__}")
-    return wire.encode(msg).encode("utf-8")
+    """Canonical JSON bytes for one message: the payload of
+    :func:`render_message`, without the message built."""
+    return _wire(msg).render(msg)[0].encode("utf-8")
 
 
 def render_message(msg: Message) -> tuple[bytes, Message]:
@@ -476,11 +449,16 @@ def render_message(msg: Message) -> tuple[bytes, Message]:
     from one rendering of each value: the payload, and the message equal
     to what decoding it gives in every field, type and sign of zero, built
     without parsing the text. What the loopback publishes and hands over."""
+    wire = _wire(msg)
+    text, values = wire.render(msg)
+    return text.encode("utf-8"), wire.build(*values)
+
+
+def _wire(msg: Message) -> _Message:
     wire = _WIRE.get(type(msg))
     if wire is None:
         raise ValidationError(f"unknown message type {type(msg).__name__}")
-    text, message = wire.render(msg)
-    return text.encode("utf-8"), message
+    return wire
 
 
 def decode_message(topic: str, payload: bytes) -> Message:

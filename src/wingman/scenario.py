@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
@@ -54,7 +55,6 @@ from wingman.protocol import (
     canonical_json,
     encode_message,
     format_float,
-    render_float,
     render_message,
 )
 from wingman.transport import Broker, MemoryTransport, MqttClient, SocketTransport, TcpBrokerServer
@@ -92,8 +92,10 @@ class ScenarioConfig:
             raise ConfigError(f"duration must be > 0, got {self.duration}")
         if self.mode not in ("deterministic", "sockets"):
             raise ConfigError(f"mode must be deterministic or sockets, got {self.mode!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not math.isfinite(self.duration * self.trajectory.rate):
+            raise ConfigError(f"duration times the pose rate must be finite, got {self.duration}")
         if round(self.duration * self.trajectory.rate) < 1:
             raise ConfigError("duration too short for the pose rate: no ticks to run")
         ids = [obj.object_id for obj in self.world]
@@ -336,7 +338,7 @@ def write_messages_jsonl(trace: RunTrace, path: str | Path) -> None:
             head = heads.get(topic)
             if head is None:
                 head = heads[topic] = f',"topic":{encode_basestring(topic)},"payload":'
-            fh.write('{"t":' + render_float(t) + head + encode_basestring(payload.decode("utf-8", "backslashreplace")) + "}\n")
+            fh.write('{"t":' + format_float(t) + head + encode_basestring(payload.decode("utf-8", "backslashreplace")) + "}\n")
 
 
 def report_summary(report: SyncReport, ticks: int | None = None) -> str:
@@ -413,7 +415,7 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             raise ConfigError("drone_offset must be a [x, z] pair")
         detach = _detach_from_dict(doc.get("detach", []))
         port = doc["broker_port"] if "broker_port" in doc else broker_port_default()
-        if not isinstance(port, int) or not 0 <= port <= 65535:
+        if isinstance(port, bool) or not isinstance(port, int) or not 0 <= port <= 65535:
             raise ConfigError(f"broker_port must be 0..65535, got {port!r}")
         return ScenarioConfig(
             trajectory=trajectory,
@@ -424,7 +426,7 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             seed=doc.get("seed", 0),
             mode=doc.get("mode", "deterministic"),
             human_start=human_start,
-            drone_offset=(float(offset[0]), float(offset[1])),
+            drone_offset=(_number(offset[0], "drone_offset[0]"), _number(offset[1], "drone_offset[1]")),
             detach_script=detach,
             broker_host=doc.get("broker_host", "127.0.0.1"),
             broker_port=port,
@@ -436,15 +438,16 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
 
 
 def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+    """A config number as a float: no bool, and finite as a float (NaN fails ``<=``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
 def _vec3(value, name: str) -> Vec3:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{name} must be an [x, y, z] triple")
-    return Vec3(*(float(v) for v in value))
+    return Vec3(*(_number(v, f"{name}[{i}]") for i, v in enumerate(value)))
 
 
 def _trajectory_from_dict(doc: dict, base_dir: Path) -> TrajectorySpec:
@@ -531,7 +534,7 @@ def _world_from_dict(doc: dict, base_dir: Path) -> tuple[WorldObject, ...]:
                 WorldObject(
                     object_id=str(entry["id"]),
                     label=str(entry.get("label", "")),
-                    position=Vec3(float(entry["x"]), float(entry["y"]), float(entry["z"])),
+                    position=Vec3(*(_number(entry[axis], f"world[{i}].{axis}") for axis in "xyz")),
                 )
             )
         except KeyError as exc:
@@ -546,7 +549,7 @@ def _detach_from_dict(entries) -> tuple[tuple[float, tuple[Vec3, ...]], ...]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "t" not in entry or "waypoints" not in entry:
             raise ConfigError(f"detach[{i}] must have t and waypoints")
-        waypoints = tuple(_vec3(w, f"detach[{i}].waypoints") for w in entry["waypoints"])
+        waypoints = tuple(_vec3(w, f"detach[{i}].waypoints[{j}]") for j, w in enumerate(entry["waypoints"]))
         if not waypoints:
             raise ConfigError(f"detach[{i}] needs at least one waypoint")
         script.append((_number(entry["t"], f"detach[{i}].t"), waypoints))

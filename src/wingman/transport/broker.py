@@ -162,10 +162,6 @@ class Broker:
             except ProtocolError as exc:
                 self._terminate(conn, f"protocol error: {exc}")
 
-    def session_count(self) -> int:
-        with self._lock:
-            return len(self.state.sessions)
-
     def _terminate(self, conn: Connection, reason: str) -> None:
         logger.warning("dropping session: %s", reason)
         self.connection_lost(conn)

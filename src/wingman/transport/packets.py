@@ -393,9 +393,6 @@ class PacketDecoder:
                 self._buffer.extend(memoryview(buf)[offset:])
         return packets
 
-    def pending_bytes(self) -> int:
-        return len(self._buffer)
-
 
 def topic_matches(filter_: str, topic: str) -> bool:
     """Level-wise topic filter match.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import string
 import time
@@ -61,6 +62,24 @@ def random_wire_vec3(rng: random.Random, scale: float = 10.0) -> Vec3:
         wire_float(rng.uniform(-scale, scale)),
         wire_float(rng.uniform(-scale, scale)),
     )
+
+
+def rotate_y(v: Vec3, angle: float) -> Vec3:
+    """Rotate ``v`` about +y so its facing angle increases by ``angle``."""
+    c = math.cos(angle)
+    s = math.sin(angle)
+    return Vec3(v.x * c - v.z * s, v.y, v.x * s + v.z * c)
+
+
+def drone_delta_to_wearable_delta(delta: Vec3) -> Vec3:
+    """Exact horizontal inverse of ``geometry.wearable_delta_to_drone_delta``."""
+    return Vec3(delta.z, 0.0, -delta.x)
+
+
+def world_to_drone_frame(p: Vec3, origin: Vec3) -> Vec3:
+    """World position -> drone frame; inverse of ``agents.drone_frame_to_world``."""
+    d = p - origin
+    return Vec3(-d.z, d.y, d.x)
 
 
 def pose_msg_bytes(

@@ -10,19 +10,12 @@ import time
 
 import numpy as np
 
-from conftest import random_packet
-from wingman.agents import world_to_drone_frame
-from wingman.cueing import is_in_blindspot
+from conftest import drone_delta_to_wearable_delta, random_packet, rotate_y, world_to_drone_frame
+from wingman.cueing import AttentionModel, make_cue
 from wingman.evaluation import dtw, load_annotations, sync_report
 from wingman.follower import FollowerConfig, assess
-from wingman.geometry import (
-    FrameId,
-    Pose,
-    Vec3,
-    drone_delta_to_wearable_delta,
-    rotate_y,
-    wearable_delta_to_drone_delta,
-)
+from wingman.geometry import FrameId, Pose, Vec3, wearable_delta_to_drone_delta
+from wingman.protocol import DetectionMsg
 from wingman.scenario import config_from_dict, run_scenario
 from wingman.transport import Broker, MemoryTransport, MqttClient, PacketDecoder, decode_packet, encode_packet
 
@@ -238,7 +231,8 @@ def test_c7_blindspot_oracle():
             expected = False
         else:
             expected = abs(math.atan2(local.z, local.x)) > fov / 2
-        assert is_in_blindspot(pose, point, fov) == expected
+        model = AttentionModel(human_fov=fov, cue_range=100.0)  # every sampled point is in range
+        assert make_cue(pose, DetectionMsg("o", "box", point, 0.9, 0.0), model).blind_spot == expected
     ok("C7", "10k sampled cases match the brute-force angular check exactly")
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import rotate_y, world_to_drone_frame
 from wingman.agents import (
     Circle,
     DetectorParams,
@@ -17,9 +18,8 @@ from wingman.agents import (
     drone_step,
     load_waypoints_csv,
     load_world_csv,
-    world_to_drone_frame,
 )
-from wingman.geometry import FrameId, Pose, Vec3, relative_polar, rotate_y
+from wingman.geometry import FrameId, Pose, Vec3, relative_polar
 from wingman.protocol import CommandMsg, DetectionMsg, encode_message
 
 

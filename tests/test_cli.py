@@ -143,6 +143,47 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
     assert f"{world} line 2: not UTF-8" in capsys.readouterr().err
 
 
+# each holds one config number that is a bool, a string, NaN, an infinity
+# or too large: every one is a config error, exit 2, and names its field
+BAD_NUMBERS = [
+    ('"seed": true', "seed"),
+    ('"broker_port": true', "broker_port"),
+    ('"duration": Infinity', "duration"),
+    ('"duration": NaN', "duration"),
+    ('"duration": 1e308', "duration"),
+    ('"duration": 1' + "0" * 400, "duration"),
+    ('"human_start": [NaN, 0, 0]', "human_start[0]"),
+    ('"human_start": [0, "1.5", 0]', "human_start[1]"),
+    ('"human_start": [0, 0, true]', "human_start[2]"),
+    ('"drone_offset": ["1.5", 0]', "drone_offset[0]"),
+    ('"drone_offset": [0, true]', "drone_offset[1]"),
+    ('"drone_offset": [-Infinity, 0]', "drone_offset[0]"),
+    ('"follower": {"follow_offset": [0, true, 0]}', "follower.follow_offset[1]"),
+    ('"world": [{"id": "c", "x": "1.5", "y": 0, "z": 1}]', "world[0].x"),
+    ('"world": [{"id": "c", "x": 0, "y": true, "z": 1}]', "world[0].y"),
+    ('"world": [{"id": "c", "x": 0, "y": 0, "z": NaN}]', "world[0].z"),
+    ('"detach": [{"t": 0.5, "waypoints": [[0, 0, 1], ["1.5", 0, 0]]}]', "detach[0].waypoints[1][0]"),
+    ('"detach": [{"t": 0.5, "waypoints": [[0, true, 0]]}]', "detach[0].waypoints[0][1]"),
+    ('"detach": [{"t": Infinity, "waypoints": [[0, 0, 1]]}]', "detach[0].t"),
+]
+
+
+@pytest.mark.parametrize("entry,name", BAD_NUMBERS, ids=[name for _, name in BAD_NUMBERS])
+def test_bad_config_numbers_exit_2(tmp_path, capsys, entry, name):
+    cfg = tmp_path / "numbers.json"
+    cfg.write_text('{"duration": 0.5, ' + entry + "}")  # the later of two "duration" keys wins
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+
+def test_bad_number_overrides_exit_2(capsys):
+    for flags in (["--set", "seed=true"], ["--set", "broker_port=true"], ["--duration", "inf"],
+                  ["--set", "trajectory.rate=NaN"]):
+        assert main(["run", "--duration", "0.5", *flags]) == 2, flags
+    assert main(["gen-trajectory", "--duration", "inf"]) == 2
+    capsys.readouterr()
+
+
 def test_run_sockets_bind_failure_exits_3(capsys):
     from wingman.transport import Broker, TcpBrokerServer
 

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from wingman.cueing import AttentionModel, CueEngine, is_in_blindspot, make_cue
-from wingman.geometry import FrameId, Pose, Vec3, rotate_y
+from conftest import rotate_y
+from wingman.cueing import AttentionModel, CueEngine, make_cue
+from wingman.geometry import FrameId, Pose, Vec3
 from wingman.protocol import (
     TOPIC_CUES,
     TOPIC_DETECTIONS,
@@ -21,22 +22,29 @@ def human(x=0.0, z=0.0, yaw=0.0):
     return Pose(Vec3(x, 0, z), yaw, FrameId.WORLD, 0.0)
 
 
+def in_blindspot(human: Pose, point: Vec3, fov: float) -> bool:
+    """The blind-spot flag of the cue for an object at ``point``, for a
+    human with field of view ``fov`` and a cue range that covers it."""
+    model = AttentionModel(human_fov=fov, cue_range=100.0)
+    return make_cue(human, DetectionMsg("obj", "chair", point, 0.9, 0.0), model).blind_spot
+
+
 def test_blindspot_examples():
-    assert is_in_blindspot(human(), Vec3(-1, 0, 0), math.pi) is True
-    assert is_in_blindspot(human(), Vec3(1, 0, 0), 0.1) is False
+    assert in_blindspot(human(), Vec3(-1, 0, 0), math.pi) is True
+    assert in_blindspot(human(), Vec3(1, 0, 0), 0.1) is False
     for point in [Vec3(1, 0, 0), Vec3(-1, 0, 0), Vec3(0, 0, 5), Vec3(-2, 0, -2)]:
-        assert is_in_blindspot(human(), point, 2 * math.pi) is False
+        assert in_blindspot(human(), point, 2 * math.pi) is False
 
 
 def test_blindspot_degenerate_coincident_point():
-    assert is_in_blindspot(human(1, 2), Vec3(1, 0, 2), 1.0) is False
+    assert in_blindspot(human(1, 2), Vec3(1, 0, 2), 1.0) is False
 
 
 def test_blindspot_fov_validation():
-    with pytest.raises(ValueError):
-        is_in_blindspot(human(), Vec3(1, 0, 0), 0.0)
-    with pytest.raises(ValueError):
-        is_in_blindspot(human(), Vec3(1, 0, 0), 7.0)
+    with pytest.raises(ValueError, match=r"^human_fov must be in \(0, 2\*pi\], got 0.0$"):
+        AttentionModel(human_fov=0.0)
+    with pytest.raises(ValueError, match=r"^human_fov must be in \(0, 2\*pi\], got 7.0$"):
+        AttentionModel(human_fov=7.0)
 
 
 def brute_force_blindspot(pose: Pose, point: Vec3, fov: float) -> bool:
@@ -57,7 +65,7 @@ def test_blindspot_matches_brute_force_oracle():
         )
         point = Vec3(rng.uniform(-5, 5), 0, rng.uniform(-5, 5))
         fov = rng.uniform(0.1, 2 * math.pi)
-        assert is_in_blindspot(pose, point, fov) == brute_force_blindspot(pose, point, fov)
+        assert in_blindspot(pose, point, fov) == brute_force_blindspot(pose, point, fov)
 
 
 def test_blindspot_monotone_in_fov():
@@ -67,8 +75,8 @@ def test_blindspot_monotone_in_fov():
         point = Vec3(rng.uniform(-5, 5), 0, rng.uniform(-5, 5))
         narrow = rng.uniform(0.1, math.pi)
         wide = rng.uniform(narrow, 2 * math.pi)
-        if not is_in_blindspot(pose, point, narrow):
-            assert not is_in_blindspot(pose, point, wide)
+        if not in_blindspot(pose, point, narrow):
+            assert not in_blindspot(pose, point, wide)
 
 
 def detection(x, z, object_id="obj", t=0.0):
@@ -108,7 +116,7 @@ def test_emitted_cues_respect_invariants():
         if cue is not None:
             assert cue.distance <= model.cue_range
             assert -math.pi < cue.azimuth <= math.pi
-            assert cue.blind_spot == is_in_blindspot(pose, sighting.position, model.human_fov)
+            assert cue.blind_spot == brute_force_blindspot(pose, sighting.position, model.human_fov)
 
 
 class CueBus:

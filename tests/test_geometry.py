@@ -3,13 +3,12 @@ import random
 
 import pytest
 
+from conftest import drone_delta_to_wearable_delta, rotate_y
 from wingman.geometry import (
     FrameId,
     Pose,
     Vec3,
-    drone_delta_to_wearable_delta,
     relative_polar,
-    rotate_y,
     wearable_delta_to_drone_delta,
     wrap_angle,
     wrap_azimuth,
@@ -38,7 +37,7 @@ def test_mapping_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         wearable_delta_to_drone_delta(Vec3(bad, 0, 0))
     with pytest.raises(ValueError):
-        drone_delta_to_wearable_delta(Vec3(0, 0, bad))
+        wearable_delta_to_drone_delta(Vec3(0, 0, bad))
     with pytest.raises(ValueError):
         relative_polar(Pose(Vec3(), 0.0, FrameId.WORLD, 0.0), Vec3(bad, 0, 0))
 

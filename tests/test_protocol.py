@@ -31,7 +31,6 @@ from wingman.protocol import (
     decode_message,
     encode_message,
     format_float,
-    render_float,
     render_message,
     wire_float,
 )
@@ -124,15 +123,22 @@ def test_canonical_bytes_golden_sample():
     assert encode_message(msg) == expected
 
 
+def written(msg, key):
+    """The text that ``encode_message(msg)`` writes for the field ``key``."""
+    return re.search(f'"{key}":([^,}}]*)', encode_message(msg).decode()).group(1)
+
+
 def test_float_fields_render_as_the_generic_dumper_does():
     class Half(float):
         def __format__(self, spec):
             return "half"
 
-    values = [0.0, -0.0, 1 / 3, 1e-300, 1.5e300, 12345678901.5, 7, 10**12, True, False, Half(0.5)]
-    values.append(np.float64(2 / 3))
+    values = [0.0, -0.0, 1 / 3, 1e-300, 1.5e300, 12345678901.5, 7, 10**12, Half(0.5), np.float64(2 / 3)]
     for value in values:
-        assert render_float(value) == canonical_json(value), value
+        assert written(CueMsg("a", "box", value, 0.0, True, 1.5), "distance") == canonical_json(value), value
+    for value in (True, False):
+        assert written(CueMsg("a", "box", 1.0, 0.0, value, 1.5), "blind_spot") == canonical_json(value), value
+    assert canonical_json(Half(0.5)) == "0.5"
 
 
 def test_float_formatting_is_nine_significant_digits():
@@ -510,11 +516,34 @@ def leaves(value, path="msg"):
 
 
 @pytest.mark.parametrize("topic,draw", HANDED, ids=["pose", "move", "detach", "detection", "cue"])
+def wire_dict(msg):
+    """The JSON object that ``msg`` goes on the wire as, built from its
+    fields with the keys in the order docs/protocol.md gives."""
+    def xyz(v):
+        return {"x": v.x, "y": v.y, "z": v.z}
+
+    if isinstance(msg, PoseMsg):
+        pose = msg.pose
+        return {"v": 1, "source_id": msg.source_id, "sequence": msg.sequence, "pose": {
+            "frame": pose.frame.value, **xyz(pose.position), "yaw": pose.yaw, "timestamp": pose.timestamp}}
+    if isinstance(msg, CommandMsg):
+        return {"v": 1, "kind": "move", "sequence": msg.sequence, **xyz(msg.target), "yaw": msg.yaw, "speed": msg.speed}
+    if isinstance(msg, DetachMsg):
+        return {"v": 1, "kind": "detach", "sequence": msg.sequence, "waypoints": [xyz(w) for w in msg.waypoints]}
+    if isinstance(msg, DetectionMsg):
+        return {"v": 1, "object_id": msg.object_id, "label": msg.label, **xyz(msg.position),
+                "confidence": msg.confidence, "timestamp": msg.timestamp}
+    return {"v": 1, "object_id": msg.object_id, "label": msg.label, "distance": msg.distance,
+            "azimuth": msg.azimuth, "blind_spot": msg.blind_spot, "timestamp": msg.timestamp}
+
+
+@pytest.mark.parametrize("topic,draw", HANDED, ids=["pose", "move", "detach", "detection", "cue"])
 def test_rendered_payload_is_the_encoding_and_message_its_decoding(topic, draw):
     # the loopback publishes the payload of render_message(m) and hands its
-    # message instead of the payload: the payload must be the encoding, byte
-    # for byte, and the message what a subscriber would decode from it,
-    # field by field, type by type, sign by sign
+    # message instead of the payload: the payload must be the canonical JSON
+    # of the message's fields, byte for byte, and the message what a
+    # subscriber would decode from it, field by field, type by type, sign
+    # by sign
     rng = random.Random(21)
     built = 0
     while built < 400:
@@ -524,10 +553,50 @@ def test_rendered_payload_is_the_encoding_and_message_its_decoding(topic, draw):
             continue
         built += 1
         payload, handed = render_message(msg)
-        assert payload == encode_message(msg), msg
+        assert payload == canonical_json(wire_dict(msg)).encode("utf-8"), msg
+        assert encode_message(msg) == payload, msg
         decoded = decode_message(topic, payload)
         assert list(leaves(handed)) == list(leaves(decoded)), msg
         assert handed == decoded
+
+
+def test_number_subclasses_are_written_by_their_plain_value():
+    class Seven(int):
+        def __str__(self):
+            return "seven"
+
+        __repr__ = __str__
+
+    class Half(float):
+        def __format__(self, spec):
+            return "half"
+
+        def __str__(self):
+            return "half"
+
+        __repr__ = __str__
+
+    half, seven = Half(0.5), Seven(7)
+    for topic, msg in (
+        (TOPIC_CMD, CommandMsg(Vec3(), 0.0, 1.0, seven)),
+        (TOPIC_DETECTIONS, DetectionMsg("a", "box", Vec3(half, seven, 0.0), half, 1.5)),
+        (TOPIC_POSE, PoseMsg("w", pose_holding(x=half, y=seven, timestamp=half), seven)),
+        (TOPIC_CMD, CommandMsg(Vec3(half, 0.0, 0.0), half, seven, 0)),
+        (TOPIC_CMD, DetachMsg([Vec3(half, seven, 0.0)], seven)),
+        (TOPIC_CUES, CueMsg("a", "box", half, half, True, seven)),
+    ):
+        payload = encode_message(msg)
+        json.loads(payload)  # JSON, with no "seven" or "half" in it
+        decoded = decode_message(topic, payload)
+        assert decoded == msg
+        rendered, handed = render_message(msg)
+        assert rendered == payload
+        assert list(leaves(handed)) == list(leaves(decoded)), msg
+        assert handed == decoded
+    assert encode_message(CommandMsg(Vec3(), 0.0, 1.0, seven)) == (
+        b'{"v":1,"kind":"move","sequence":7,"x":0,"y":0,"z":0,"yaw":0,"speed":1}'
+    )
+    assert written(DetectionMsg("a", "box", Vec3(), half, 1.5), "confidence") == "0.5"
 
 
 def test_render_message_refuses_what_encode_message_refuses():
@@ -536,12 +605,12 @@ def test_render_message_refuses_what_encode_message_refuses():
 
 
 def test_wire_float_is_what_a_float_field_decodes_to():
-    doc = json.loads(encode_message(DetectionMsg("a", "b", Vec3(), 0.5, 1.5)))
     for value in EDGE_FLOATS:
         if value != value + 0 or abs(value) > sys.float_info.max:
             continue
-        doc["x"] = json.loads(render_float(value))
-        decoded = decode_message(TOPIC_DETECTIONS, json.dumps(doc).encode()).position.x
+        msg = DetectionMsg("a", "b", Vec3(value, 0.0, 0.0), 0.5, 1.5)
+        assert written(msg, "x") == canonical_json(value), value
+        decoded = decode_message(TOPIC_DETECTIONS, encode_message(msg)).position.x
         assert repr(wire_float(value)) == repr(decoded), value
     assert math.copysign(1.0, wire_float(-0.0)) == 1.0
     assert wire_float(0.99999999951) == 1.0

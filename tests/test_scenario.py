@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import world_to_drone_frame
 from wingman import cueing, follower, scenario
-from wingman.agents import world_to_drone_frame
 from wingman.geometry import FrameId, Pose, Vec3
 from wingman.protocol import (
     TOPIC_CMD,
@@ -19,7 +19,6 @@ from wingman.protocol import (
     canonical_json,
     decode_message,
     format_float,
-    render_float,
 )
 from wingman.scenario import (
     ConfigError,
@@ -389,7 +388,7 @@ def joined_messages_jsonl(trace: RunTrace) -> str:
         head = heads.get(topic)
         if head is None:
             head = heads[topic] = f',"topic":{encode_basestring(topic)},"payload":'
-        lines.append('{"t":' + render_float(t) + head + encode_basestring(payload.decode("utf-8")) + "}")
+        lines.append('{"t":' + format_float(t) + head + encode_basestring(payload.decode("utf-8")) + "}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -309,7 +309,7 @@ def test_callback_that_drops_a_later_subscriber_ends_its_delivery():
     pub.connect()
     pub.publish("t", b"1")
     assert got == ["early"]
-    assert broker.session_count() == 2
+    assert len(broker.state.sessions) == 2
 
 
 def test_memory_link_pub_sub():
@@ -343,10 +343,10 @@ def test_duplicate_client_id_replaces_old_session():
     broker = Broker()
     first = MqttClient(MemoryTransport(broker), "dup")
     first.connect()
-    assert broker.session_count() == 1
+    assert len(broker.state.sessions) == 1
     second = MqttClient(MemoryTransport(broker), "dup")
     second.connect()
-    assert broker.session_count() == 1
+    assert len(broker.state.sessions) == 1
     second.subscribe("t")
     received = []
     other = MqttClient(MemoryTransport(broker), "other", on_message=lambda t, p: received.append(p))
@@ -363,7 +363,7 @@ def test_malformed_bytes_kill_only_that_session():
 
     bad = RecordingConnection(broker)
     broker.data_received(bad, bytes([0xF0, 0x00]))  # reserved type straight away
-    assert broker.session_count() == 1  # bad connection never became a session
+    assert len(broker.state.sessions) == 1  # bad connection never became a session
     assert bad.peer.closed and bad.frames == []
 
     broker.data_received(good, encode_packet(Publish("t", b"still alive")))
@@ -375,7 +375,7 @@ def test_publish_before_connect_drops_session():
     broker = Broker()
     conn = RecordingConnection(broker)
     broker.data_received(conn, encode_packet(Publish("t", b"x")))
-    assert broker.session_count() == 0
+    assert len(broker.state.sessions) == 0
     assert conn.peer.closed and conn.frames == []
 
 
@@ -388,7 +388,7 @@ def test_loopback_protocol_violation_kills_only_that_session():
 
     bad = MemoryTransport(broker)
     bad.send(Publish("t", b"before connect"))
-    assert broker.session_count() == 1
+    assert len(broker.state.sessions) == 1
     with pytest.raises(TransportClosed):
         bad.send(Connect("bad"))
 
@@ -431,7 +431,7 @@ def test_tcp_round_trip():
         assert [p for _, p in received] == [f"m{i}".encode() for i in range(10)]
         sub.disconnect()
         pub.disconnect()
-        assert wait_until(lambda: broker.session_count() == 0)
+        assert wait_until(lambda: len(broker.state.sessions) == 0)
     finally:
         server.stop()
 
@@ -453,7 +453,7 @@ def test_tcp_stop_is_prompt_and_leaves_no_broker_threads():
         started = time.monotonic()
         server.stop()
         elapsed = time.monotonic() - started
-        sessions = broker.session_count()
+        sessions = len(broker.state.sessions)
     finally:
         for client in clients:
             client.disconnect()
@@ -479,7 +479,7 @@ def test_tcp_server_forgets_closed_connections():
             client.connect()
             client.disconnect()
         assert wait_until(lambda: registered_connections(server) == 0)
-        assert wait_until(lambda: broker.session_count() == 0)
+        assert wait_until(lambda: len(broker.state.sessions) == 0)
     finally:
         server.stop()
 
@@ -533,7 +533,7 @@ def test_tcp_subscriber_that_stops_reading_stalls_nobody():
         packets = read_until(PingResp)
         dropped = broker.state.sessions["stuck"].dropped
         assert dropped >= 1
-        assert decoder.pending_bytes() == 0
+        assert len(decoder._buffer) == 0
         assert all(isinstance(packet, Publish) for packet in packets[:-1])
         indices = [int.from_bytes(packet.payload[:4], "big") for packet in packets[:-1]]
         assert len(indices) == n - dropped

@@ -224,7 +224,7 @@ def test_chunked_stream_reframing_equivalence():
             out.extend(decoder.feed(stream[i : i + step]))
             i += step
         assert out == packets
-        assert decoder.pending_bytes() == 0
+        assert len(decoder._buffer) == 0
 
 
 def test_malformed_packet_after_valid_ones_is_protocol_error():
@@ -235,10 +235,10 @@ def test_malformed_packet_after_valid_ones_is_protocol_error():
 
     decoder = PacketDecoder()
     assert decoder.feed(valid + malformed[:1]) == [Publish("t", bytes([i])) for i in range(3)]
-    assert decoder.pending_bytes() == 1
+    assert len(decoder._buffer) == 1
     with pytest.raises(ProtocolError):
         decoder.feed(malformed[1:])
-    assert decoder.pending_bytes() == len(malformed)  # the bad packet stays, so it fails again
+    assert len(decoder._buffer) == len(malformed)  # the bad packet stays, so it fails again
     with pytest.raises(ProtocolError):
         decoder.feed(b"")
 
@@ -249,13 +249,13 @@ def test_one_large_chunk_decodes_every_packet():
     stream = b"".join(encode_packet(p) for p in packets)
     decoder = PacketDecoder()
     assert decoder.feed(stream) == packets
-    assert decoder.pending_bytes() == 0
+    assert len(decoder._buffer) == 0
 
     # a partial tail stays pending until the rest arrives
     assert decoder.feed(stream[:-3]) == packets[:-1]
-    assert decoder.pending_bytes() == len(encode_packet(packets[-1])) - 3
+    assert len(decoder._buffer) == len(encode_packet(packets[-1])) - 3
     assert decoder.feed(stream[-3:]) == packets[-1:]
-    assert decoder.pending_bytes() == 0
+    assert len(decoder._buffer) == 0
 
 
 def reference_decode_publish(buf: bytes) -> tuple[Publish, int] | None:
