@@ -20,7 +20,7 @@ import io
 import math
 import random
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -202,7 +202,7 @@ def drone_step(state: DroneState, dt: float) -> DroneState:
     t_next = pose.timestamp + dt
     cmd = state.command
     if cmd is None:
-        return replace(state, pose=Pose(pose.position, pose.yaw, pose.frame, t_next))
+        return DroneState(Pose(pose.position, pose.yaw, pose.frame, t_next), None, state.max_speed, state.yaw_rate)
     to_target = cmd.target - pose.position
     distance = to_target.norm()
     step = min(cmd.speed, state.max_speed) * dt
@@ -216,7 +216,7 @@ def drone_step(state: DroneState, dt: float) -> DroneState:
         new_yaw = cmd.yaw
     else:
         new_yaw = pose.yaw + math.copysign(max_turn, yaw_err)
-    return replace(state, pose=Pose(new_position, new_yaw, pose.frame, t_next))
+    return DroneState(Pose(new_position, new_yaw, pose.frame, t_next), cmd, state.max_speed, state.yaw_rate)
 
 
 def drone_frame_to_world(p: Vec3, origin: Vec3) -> Vec3:
@@ -252,7 +252,7 @@ class DroneAgent:
             return
         if isinstance(msg, CommandMsg):
             with self._lock:
-                self.state = replace(self.state, command=msg)
+                self.state = DroneState(self.state.pose, msg, self.state.max_speed, self.state.yaw_rate)
 
     def step(self, dt: float) -> None:
         with self._lock:
@@ -376,9 +376,12 @@ def load_waypoints_csv(path: str | Path) -> Waypoints:
     points = []
     for line_no, row in rows:
         try:
-            points.append((float(row[0]), Vec3(float(row[1]), float(row[2]), float(row[3]))))
+            t, x, y, z = map(float, row)
         except ValueError as exc:
             raise ValueError(f"{path} line {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, (t, x, y, z))):
+            raise ValueError(f"{path} line {line_no}: non-finite waypoint {','.join(row)}")
+        points.append((t, Vec3(x, y, z)))
     try:
         return Waypoints(tuple(points))
     except ValueError as exc:

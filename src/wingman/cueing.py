@@ -22,7 +22,6 @@ from wingman.protocol import (
     TOPIC_POSE,
     CueMsg,
     DetectionMsg,
-    Message,
     PoseMsg,
     ValidationError,
     decode_message,
@@ -94,18 +93,14 @@ class CueEngine:
         self._last_emit: dict[str, float] = {}
         self._lock = threading.Lock()
 
-    def on_message(self, topic: str, payload: bytes, *, message: Message | None = None) -> None:
-        """Handle one payload; a ``message`` handed with it is what it
-        decodes to, and is used without decoding the payload."""
+    def on_message(self, topic: str, payload: bytes) -> None:
         if topic not in (TOPIC_POSE, TOPIC_DETECTIONS):
             return
-        msg = message
-        if msg is None:
-            try:
-                msg = decode_message(topic, payload)
-            except ValidationError:
-                self.protocol_error_count += 1
-                return
+        try:
+            msg = decode_message(topic, payload)
+        except ValidationError:
+            self.protocol_error_count += 1
+            return
         if isinstance(msg, PoseMsg):
             self._on_pose(msg)
         else:

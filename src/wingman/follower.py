@@ -28,7 +28,6 @@ from wingman.protocol import (
     TOPIC_POSE,
     CommandMsg,
     DetachMsg,
-    Message,
     PoseMsg,
     ValidationError,
     decode_message,
@@ -156,7 +155,7 @@ def mission_step(
     in RETURN so the boomerang homes onto a moving human.
     """
     if isinstance(event, PoseUpdate):
-        new = replace(state, anchor=event.pose)
+        new = MissionState(state.mode, state.waypoints, state.index, event.pose)
         yaw = wrap_angle(event.pose.yaw + math.pi)
         if state.mode is Mode.FOLLOW:
             return new, [RunAssess(event.pose)]
@@ -237,26 +236,19 @@ class FollowerLoop:
         self._last_seq: dict[str, int] = {}
         self._last_t: float | None = None
         self._next_cmd_seq = 0
-        self._sent: bytes | None = None  # the payload of the last command published
         self._lock = threading.Lock()
 
-    def on_message(self, topic: str, payload: bytes, *, message: Message | None = None) -> None:
-        """Handle one payload; a ``message`` handed with it is what it
-        decodes to, and is used without decoding the payload.
-
-        The loopback delivers this loop's own command back as the very
-        payload object it published; that is dropped undecoded, as the
-        ``CommandMsg`` it holds would be. Over TCP every payload is a new
-        object, so each one is decoded."""
-        if payload is self._sent or topic not in (TOPIC_POSE, TOPIC_CMD):
+    def on_message(self, topic: str, payload: bytes) -> None:
+        """Handle one payload. The broker delivers this loop's own commands
+        back to it; ``decode_message`` returns each unparsed while it is the
+        last command encoded, and a ``CommandMsg`` is ignored."""
+        if topic not in (TOPIC_POSE, TOPIC_CMD):
             return
-        msg = message
-        if msg is None:
-            try:
-                msg = decode_message(topic, payload)
-            except ValidationError:
-                self.protocol_error_count += 1
-                return
+        try:
+            msg = decode_message(topic, payload)
+        except ValidationError:
+            self.protocol_error_count += 1
+            return
         if isinstance(msg, PoseMsg):
             self._on_pose(msg)
         elif isinstance(msg, DetachMsg):
@@ -347,8 +339,7 @@ class FollowerLoop:
         msg = CommandMsg(cmd.target, cmd.yaw, cmd.speed, self._next_cmd_seq)
         self._next_cmd_seq += 1
         if self.publish is not None:
-            self._sent = encode_message(msg)
-            self.publish(TOPIC_CMD, self._sent)
+            self.publish(TOPIC_CMD, encode_message(msg))
 
     def _emit(self, t: float, name: str, data: dict) -> None:
         if self.on_event is not None:

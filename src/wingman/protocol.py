@@ -30,14 +30,14 @@ types and ranges to the same check, run on each object's values before
 they are built into it (so a pose is checked before ``Pose`` normalizes
 its yaw, and only then). It never fabricates defaults.
 
-:func:`render_message` is the one walk over the table: in one pass it
+:func:`encode_message` is the one walk over the table: in one pass it
 gives a message's payload and the message that decoding the payload
 gives, each float formatted once, its text in the JSON and the float it
-reads back as (see :func:`wire_float`) in the decoder's build.
-:func:`encode_message` is its payload, without the build. The loopback
-hands poses and detections to subscribers with their payload, so they
-need not decode it; docs/protocol.md says which messages are handed, and
-why the rest are not.
+reads back as (see :func:`wire_float`) in the decoder's build. It keeps
+the pair as its topic's last payload, as :func:`decode_message` keeps
+each payload it parses, and :func:`decode_message` returns the kept
+message for an equal payload without parsing it; docs/protocol.md says
+why that is exact.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def wire_float(x: float) -> float:
     is written in full, so it reads back as ``float(x)``.
 
     On a value that a field's rule admits, the result is admitted too, so
-    the message :func:`render_message` builds needs no check. Both
+    the message :func:`encode_message` builds needs no check. Both
     roundings are monotone and fix 0 and 1, so ``>= 0`` and ``[0, 1]``
     hold; ``x <= max`` gives ``1.79769313e308 < max``, so finite stays
     finite; and ``x > 0`` means ``x >= 5e-324``, which writes as
@@ -438,31 +438,32 @@ _BY_TOPIC = {wire.topic: wire for wire in _WIRE.values() if wire.kind is None}
 _BY_KIND = {wire.kind: wire for wire in _WIRE.values() if wire.kind is not None}
 
 
+# Each topic's last payload, encoded or decoded in this process, and the
+# message it decodes to. One dict store of an immutable pair per write, so
+# threads racing on a topic cost at most an extra parse.
+_LAST: dict[str, tuple[bytes, Message]] = {}
+
+
 def encode_message(msg: Message) -> bytes:
-    """Canonical JSON bytes for one message: the payload of
-    :func:`render_message`, without the message built."""
-    return _wire(msg).render(msg)[0].encode("utf-8")
-
-
-def render_message(msg: Message) -> tuple[bytes, Message]:
-    """``(encode_message(msg), decode_message(topic, encode_message(msg)))``
-    from one rendering of each value: the payload, and the message equal
-    to what decoding it gives in every field, type and sign of zero, built
-    without parsing the text. What the loopback publishes and hands over."""
-    wire = _wire(msg)
-    text, values = wire.render(msg)
-    return text.encode("utf-8"), wire.build(*values)
-
-
-def _wire(msg: Message) -> _Message:
+    """Canonical JSON bytes for one message. The walk that writes them
+    builds the message that decoding them gives, equal in every field,
+    type and sign of zero, and keeps both as its topic's last payload."""
     wire = _WIRE.get(type(msg))
     if wire is None:
         raise ValidationError(f"unknown message type {type(msg).__name__}")
-    return wire
+    text, values = wire.render(msg)
+    payload = text.encode("utf-8")
+    _LAST[wire.topic] = (payload, wire.build(*values))
+    return payload
 
 
 def decode_message(topic: str, payload: bytes) -> Message:
-    """Parse and validate the payload for one of the four defined topics."""
+    """Parse and validate the payload for one of the four defined topics;
+    a payload equal to its topic's last is not parsed again. A payload
+    that is not ``bytes`` may change, so is not kept."""
+    last = _LAST.get(topic)
+    if last is not None and last[0] == payload:
+        return last[1]
     wire = _BY_TOPIC.get(topic)
     if wire is None and topic != TOPIC_CMD:
         raise RoutingError(f"no schema bound to topic {topic!r}")
@@ -474,7 +475,10 @@ def decode_message(topic: str, payload: bytes) -> Message:
         wire = _BY_KIND.get(kind) if type(kind) is str else None
         if wire is None:
             raise ValidationError(f"kind: unknown command kind {kind!r}")
-    return wire.decode(doc)
+    msg = wire.decode(doc)
+    if type(payload) is bytes:
+        _LAST[topic] = (payload, msg)
+    return msg
 
 
 def _load(payload: bytes) -> dict:

@@ -55,7 +55,6 @@ from wingman.protocol import (
     canonical_json,
     encode_message,
     format_float,
-    render_message,
 )
 from wingman.transport import Broker, MemoryTransport, MqttClient, SocketTransport, TcpBrokerServer
 from wingman.transport.broker import DEFAULT_PORT
@@ -193,8 +192,7 @@ class _SimCore:
                 self._next_script_seq += 1
                 publish_operator(TOPIC_CMD, encode_message(order))
         truth, msg = self.wearable.next_pose()
-        payload, handed = render_message(msg)
-        publish_pose(TOPIC_POSE, payload, message=handed)
+        publish_pose(TOPIC_POSE, encode_message(msg))
         human_world = Pose(
             truth.position + self.cfg.human_start, truth.yaw, FrameId.WORLD, t
         )
@@ -211,8 +209,7 @@ class _SimCore:
         for detection in detect_objects(
             self.drone.world_pose(t), self.cfg.world, self.cfg.detector, self.det_rng
         ):
-            payload, handed = render_message(detection)
-            publish_detection(TOPIC_DETECTIONS, payload, message=handed)
+            publish_detection(TOPIC_DETECTIONS, encode_message(detection))
 
 
 _CLIENT_IDS = ("wearable", "follower", "cueing", "drone", "detector", "operator")

@@ -121,8 +121,7 @@ class MqttClient:
 
     ``on_message(topic, payload)`` runs inline on the delivering context:
     the publisher's own call stack for a loopback link, the reader thread
-    for a socket. A packet that carries a message (see ``publish``) is
-    delivered as ``on_message(topic, payload, message=message)``.
+    for a socket.
     """
 
     def __init__(
@@ -152,16 +151,8 @@ class MqttClient:
         if not isinstance(ack, SubAck) or ack.packet_id != packet_id:
             raise ProtocolError(f"expected SUBACK {packet_id}, got {ack!r}")
 
-    def publish(self, topic: str, payload: bytes, *, message: object = None) -> None:
-        """Publish ``payload``; ``message``, if given, is what it decodes to.
-
-        The loopback hands ``message`` to each subscriber with the payload,
-        so it need not decode it; a TCP link sends the payload alone.
-        """
-        packet = Publish(topic, payload)
-        if message is not None:
-            object.__setattr__(packet, "message", message)
-        self._transport.send(packet)
+    def publish(self, topic: str, payload: bytes) -> None:
+        self._transport.send(Publish(topic, payload))
 
     def ping(self) -> None:
         self._transport.send(PingReq())
@@ -186,10 +177,7 @@ class MqttClient:
         if isinstance(packet, Publish):
             on_message = self.on_message
             if on_message is not None:
-                if packet.message is None:
-                    on_message(packet.topic, packet.payload)
-                else:
-                    on_message(packet.topic, packet.payload, message=packet.message)
+                on_message(packet.topic, packet.payload)
         elif isinstance(packet, (ConnAck, SubAck, PingResp)):
             self._acks.put(packet)
         else:

@@ -113,8 +113,6 @@ class Publish:
     payload: bytes = b""
     # the canonical frame this packet was decoded from; not part of its value
     frame: bytes | None = field(default=None, init=False, compare=False, repr=False)
-    # the message the payload encodes, handed on by the loopback; not part of its value
-    message: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _topic_prefix(self.topic)  # validates a topic once and caches its prefix

@@ -7,8 +7,11 @@ import random
 import string
 import time
 
+import pytest
+
+from wingman import protocol
 from wingman.geometry import FrameId, Pose, Vec3
-from wingman.protocol import PoseMsg, encode_message, wire_float
+from wingman.protocol import PoseMsg, decode_message, encode_message, wire_float
 from wingman.transport import ConnAck, Connect, Disconnect, PingReq, PingResp, Publish, SubAck, Subscribe
 
 _TOPIC_CHARS = string.ascii_lowercase + string.digits + "_-"
@@ -96,3 +99,26 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:
             return True
         time.sleep(interval)
     return predicate()
+
+
+def parse(topic: str, payload: bytes):
+    """``decode_message(topic, payload)`` with the last payloads forgotten
+    first, so the payload is parsed rather than remembered."""
+    protocol._LAST.clear()
+    return decode_message(topic, payload)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The payloads ``decode_message`` parses while a test runs, in order;
+    one it returns as its topic's last payload is not parsed. Safe from
+    reader threads."""
+    payloads = []
+    load = protocol._load
+
+    def counting(payload):
+        payloads.append(bytes(payload))
+        return load(payload)
+
+    monkeypatch.setattr(protocol, "_load", counting)
+    return payloads

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -267,6 +268,11 @@ def test_waypoints_csv_errors(tmp_path):
     path.write_text("t,x,y,z\n1,0,0,0\n1,1,0,0\n")
     with pytest.raises(ValueError, match="increasing"):
         load_waypoints_csv(path)
+    # a nan time passes the increasing check, and Vec3 takes an infinity: the loader refuses both
+    for row in ("1,inf,0,0", "nan,0,0,0", "1,0,-inf,0", "1,0,0,NaN"):
+        path.write_text(f"t,x,y,z\n0,0,0,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 3: non-finite waypoint {row}$"):
+            load_waypoints_csv(path)
 
 
 def test_world_csv(tmp_path):

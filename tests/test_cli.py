@@ -141,6 +141,12 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
     world.write_bytes(b"id,label,x,y,z\nc,caf\xe9,0,0,1\n")
     assert main(["run", "--world-csv", str(world), "--duration", "1"]) == 2
     assert f"{world} line 2: not UTF-8" in capsys.readouterr().err
+    # a waypoint that is not finite is a config error too, naming its file and line
+    for row in ("1,inf,0,0", "nan,0,0,0"):
+        way = tmp_path / "way.csv"
+        way.write_text(f"t,x,y,z\n0,0,0,0\n{row}\n")
+        assert main(["run", "--trajectory", "waypoints", "--waypoints-csv", str(way), "--duration", "1"]) == 2
+        assert f"{way} line 3: non-finite waypoint {row}" in capsys.readouterr().err
 
 
 # each holds one config number that is a bool, a string, NaN, an infinity

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from conftest import pose_msg_bytes
-from wingman import follower as follower_module
 from wingman.follower import (
     DetachOrder,
     FollowerConfig,
@@ -282,18 +281,16 @@ def test_loop_ignores_its_own_move_commands():
     assert loop.mission.mode is Mode.FOLLOW
 
 
-def test_loop_decodes_no_payload_it_published_itself(monkeypatch):
+def test_loop_decodes_no_payload_it_published_itself(parsed):
     bus = Bus()
     loop, _ = make_loop(bus, max_speed=10.0)
     loop.on_message(TOPIC_POSE, pose_msg_bytes(0, 0.0, 0.0, 0.0))
     loop.on_message(TOPIC_POSE, pose_msg_bytes(1, 0.1, 0.1, 0.0))
     [(topic, own)] = bus.raw
-    decoded = []
-    monkeypatch.setattr(follower_module, "decode_message", lambda *args: decoded.append(args))
     loop.on_message(topic, own)  # the loopback hands back the very object
-    assert decoded == []
     loop.on_message(topic, bytes(bytearray(own)))  # over TCP: an equal, new object
-    assert decoded == [(topic, own)]
+    assert parsed == []
+    assert loop.protocol_error_count == 0 and len(bus.raw) == 1
 
 
 def test_loop_full_boomerang_over_messages():

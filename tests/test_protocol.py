@@ -4,12 +4,13 @@ import math
 import random
 import re
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_wire_vec3
+from conftest import parse, random_wire_vec3
 from wingman import protocol
 from wingman.agents import DroneAgent
 from wingman.cueing import AttentionModel, CueEngine
@@ -31,7 +32,6 @@ from wingman.protocol import (
     decode_message,
     encode_message,
     format_float,
-    render_message,
     wire_float,
 )
 
@@ -100,7 +100,7 @@ def test_round_trip_identity_on_wire_precision_messages(topic, factory):
     rng = random.Random(11)
     for _ in range(300):
         msg = factory(rng)
-        assert decode_message(topic, encode_message(msg)) == msg
+        assert parse(topic, encode_message(msg)) == msg
 
 
 def test_encode_is_deterministic_and_injective_on_samples():
@@ -378,7 +378,7 @@ SEQUENCE_FIELDS = [
 
 def assert_constructs_and_round_trips(topic, make, value):
     msg = make(value)
-    assert decode_message(topic, encode_message(msg)) == msg
+    assert parse(topic, encode_message(msg)) == msg
 
 
 @pytest.mark.parametrize("field,topic,make", FLOAT_FIELDS, ids=[f"{t}:{f}" for f, t, _ in FLOAT_FIELDS])
@@ -436,7 +436,7 @@ def test_a_decoded_pose_is_checked_once(monkeypatch):
         return check(self, values, path)
 
     monkeypatch.setattr(protocol._Object, "check", counting_check)
-    msg = decode_message(TOPIC_POSE, payload)
+    msg = parse(TOPIC_POSE, payload)
     assert pose_checks == ["pose."]
     monkeypatch.undo()
     assert msg == PoseMsg("w", pose_holding(), 7)
@@ -515,7 +515,6 @@ def leaves(value, path="msg"):
         yield path, type(value), repr(value)
 
 
-@pytest.mark.parametrize("topic,draw", HANDED, ids=["pose", "move", "detach", "detection", "cue"])
 def wire_dict(msg):
     """The JSON object that ``msg`` goes on the wire as, built from its
     fields with the keys in the order docs/protocol.md gives."""
@@ -538,12 +537,11 @@ def wire_dict(msg):
 
 
 @pytest.mark.parametrize("topic,draw", HANDED, ids=["pose", "move", "detach", "detection", "cue"])
-def test_rendered_payload_is_the_encoding_and_message_its_decoding(topic, draw):
-    # the loopback publishes the payload of render_message(m) and hands its
-    # message instead of the payload: the payload must be the canonical JSON
-    # of the message's fields, byte for byte, and the message what a
-    # subscriber would decode from it, field by field, type by type, sign
-    # by sign
+def test_an_encoded_payload_is_remembered_as_its_decoding(topic, draw):
+    # decode_message returns the message encode_message built for its topic's
+    # last payload instead of parsing it: the payload must be the canonical
+    # JSON of the message's fields, byte for byte, and the message what a
+    # parse gives, field by field, type by type, sign by sign
     rng = random.Random(21)
     built = 0
     while built < 400:
@@ -552,12 +550,67 @@ def test_rendered_payload_is_the_encoding_and_message_its_decoding(topic, draw):
         except (ValidationError, ValueError):  # a draw a rule (or Pose) refuses
             continue
         built += 1
-        payload, handed = render_message(msg)
+        payload = encode_message(msg)
         assert payload == canonical_json(wire_dict(msg)).encode("utf-8"), msg
-        assert encode_message(msg) == payload, msg
-        decoded = decode_message(topic, payload)
-        assert list(leaves(handed)) == list(leaves(decoded)), msg
-        assert handed == decoded
+        remembered = decode_message(topic, payload)
+        assert protocol._LAST[topic] == (payload, remembered)
+        decoded = parse(topic, payload)
+        assert list(leaves(remembered)) == list(leaves(decoded)), msg
+        assert remembered == decoded
+
+
+def test_a_rejected_payload_is_never_remembered(parsed):
+    payload = encode_message(DetectionMsg("a", "box", Vec3(), 0.5, 1.5))
+    bad = payload.replace(b'"confidence":0.5', b'"confidence":2')
+    cues = CueEngine(AttentionModel())
+    cues.on_message(TOPIC_DETECTIONS, bad)
+    cues.on_message(TOPIC_DETECTIONS, bad)
+    assert cues.protocol_error_count == 2 and parsed == [bad, bad]
+    # the topic's last payload is still the one encoded, and is not parsed
+    assert protocol._LAST[TOPIC_DETECTIONS][0] == payload
+    assert decode_message(TOPIC_DETECTIONS, payload) == DetectionMsg("a", "box", Vec3(), 0.5, 1.5)
+    assert parsed == [bad, bad]
+
+
+def test_a_payload_that_may_change_is_not_remembered(parsed):
+    first, second = (encode_message(PoseMsg("w", pose_holding(), sequence)) for sequence in (7, 8))
+    protocol._LAST.clear()
+    buffer = bytearray(first)
+    assert decode_message(TOPIC_POSE, buffer).sequence == 7
+    assert TOPIC_POSE not in protocol._LAST
+    buffer[:] = second  # kept, the buffer would now stand for the first pose
+    assert decode_message(TOPIC_POSE, second).sequence == 8
+    assert parsed == [first, second]
+
+
+def test_threads_racing_on_a_topic_each_get_their_own_payloads_message():
+    # more threads than cores, switching often, encode and decode different
+    # payloads on one topic: a lost or torn slot would hand a thread another
+    # payload's message
+    messages = [DetectionMsg(f"o{k}", "box", Vec3(k, 0.0, 0.0), 0.5, float(k)) for k in range(16)]
+    payloads = [encode_message(msg) for msg in messages]
+    wrong = []
+
+    def work(first):
+        for i in range(400):
+            k = (first + i) % len(messages)
+            if i % 3 == 0:
+                encode_message(messages[k])
+            if decode_message(TOPIC_DETECTIONS, payloads[k]) != messages[k]:
+                wrong.append(k)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(first,)) for first in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_number_subclasses_are_written_by_their_plain_value():
@@ -587,21 +640,19 @@ def test_number_subclasses_are_written_by_their_plain_value():
     ):
         payload = encode_message(msg)
         json.loads(payload)  # JSON, with no "seven" or "half" in it
-        decoded = decode_message(topic, payload)
+        remembered = decode_message(topic, payload)
+        decoded = parse(topic, payload)
         assert decoded == msg
-        rendered, handed = render_message(msg)
-        assert rendered == payload
-        assert list(leaves(handed)) == list(leaves(decoded)), msg
-        assert handed == decoded
+        assert list(leaves(remembered)) == list(leaves(decoded)), msg
     assert encode_message(CommandMsg(Vec3(), 0.0, 1.0, seven)) == (
         b'{"v":1,"kind":"move","sequence":7,"x":0,"y":0,"z":0,"yaw":0,"speed":1}'
     )
     assert written(DetectionMsg("a", "box", Vec3(), half, 1.5), "confidence") == "0.5"
 
 
-def test_render_message_refuses_what_encode_message_refuses():
+def test_encode_message_refuses_an_object_of_no_message_type():
     with pytest.raises(ValidationError, match="^unknown message type Vec3$"):
-        render_message(Vec3())
+        encode_message(Vec3())
 
 
 def test_wire_float_is_what_a_float_field_decodes_to():
@@ -610,7 +661,7 @@ def test_wire_float_is_what_a_float_field_decodes_to():
             continue
         msg = DetectionMsg("a", "b", Vec3(value, 0.0, 0.0), 0.5, 1.5)
         assert written(msg, "x") == canonical_json(value), value
-        decoded = decode_message(TOPIC_DETECTIONS, encode_message(msg)).position.x
+        decoded = parse(TOPIC_DETECTIONS, encode_message(msg)).position.x
         assert repr(wire_float(value)) == repr(decoded), value
     assert math.copysign(1.0, wire_float(-0.0)) == 1.0
     assert wire_float(0.99999999951) == 1.0

@@ -318,18 +318,30 @@ def decode_calls(monkeypatch):
     return calls
 
 
-def test_loopback_subscribers_decode_no_pose_or_detection(decode_calls):
+def test_loopback_subscribers_decode_no_pose_or_detection(parsed):
     trace, _ = run_scenario(load_config(CONFIGS / "demo.json"))
     logged = Counter(topic for _, topic, _ in trace.messages)
     assert logged[TOPIC_POSE] == 600 and logged[TOPIC_DETECTIONS] > 100 and logged[TOPIC_CMD] > 100
-    # poses and detections are handed over with their payloads, and the
-    # follower drops the commands it published itself undecoded
-    assert decode_calls == {}
-    # so on the loopback it decodes only the operator's detach orders
+    # the follower and the cue engine get each pose and detection as the
+    # payload the scenario has just encoded, so neither parses one
+    assert [payload for payload in parsed if b'"kind":' not in payload] == []
+    # nor does the follower parse the operator's detach orders; the drone,
+    # next in line, parses each once, as the follower's first command of the
+    # detach is then the last payload on the command topic
     cfg = load_config(CONFIGS / "boomerang.json")
+    del parsed[:]
     trace, _ = run_scenario(cfg)
     assert len(cfg.detach_script) == 1 and "DETACH" in {row.mode for row in trace.rows}
-    assert decode_calls == {("follower", TOPIC_CMD): len(cfg.detach_script)}
+    assert [payload for payload in parsed if b'"kind":"detach"' in payload] == parsed
+    assert len(parsed) == len(cfg.detach_script)
+
+
+def test_a_loopback_run_parses_no_move_command(parsed):
+    trace, _ = run_scenario(load_config(CONFIGS / "demo.json"))
+    moves = [payload for _, topic, payload in trace.messages if b'"kind":"move"' in payload]
+    assert len(moves) > 100
+    # the drone, and the follower its own, get each as the payload just encoded
+    assert [payload for payload in parsed if b'"kind":"move"' in payload] == []
 
 
 def test_sockets_subscribers_still_decode_poses_and_detections(decode_calls):
