@@ -258,12 +258,10 @@ class DroneAgent:
         with self._lock:
             self.state = drone_step(self.state, dt)
 
-    def world_pose(self, timestamp: float | None = None) -> Pose:
+    def world_pose(self, timestamp: float) -> Pose:
         with self._lock:
             pose = self.state.pose
-        position = drone_frame_to_world(pose.position, self.world_origin)
-        t = pose.timestamp if timestamp is None else timestamp
-        return Pose(position, pose.yaw, FrameId.WORLD, t)
+        return Pose(drone_frame_to_world(pose.position, self.world_origin), pose.yaw, FrameId.WORLD, timestamp)
 
 
 @dataclass(frozen=True)
@@ -275,6 +273,10 @@ class WorldObject:
     position: Vec3
 
     def __post_init__(self) -> None:
+        if not isinstance(self.object_id, str) or not self.object_id:
+            raise ValueError(f"id must be a non-empty string, got {self.object_id!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if not self.position.is_finite():
             raise ValueError(f"object {self.object_id!r}: non-finite position")
 
@@ -395,16 +397,13 @@ def load_world_csv(path: str | Path) -> list[WorldObject]:
     seen: set[str] = set()
     for line_no, row in rows:
         object_id = row[0]
-        if not object_id:
-            raise ValueError(f"{path} line {line_no}: empty id")
         if object_id in seen:
             raise ValueError(f"{path} line {line_no}: duplicate id {object_id!r}")
         seen.add(object_id)
         try:
-            position = Vec3(float(row[2]), float(row[3]), float(row[4]))
+            objects.append(WorldObject(object_id, row[1], Vec3(float(row[2]), float(row[3]), float(row[4]))))
         except ValueError as exc:
             raise ValueError(f"{path} line {line_no}: {exc}") from exc
-        objects.append(WorldObject(object_id, row[1], position))
     return objects
 
 

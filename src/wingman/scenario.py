@@ -1,8 +1,8 @@
 """Scenario orchestration: config loading, the run engine, trace recording.
 
-Two run modes share one tick body and one wiring path (six bus clients,
-their callbacks and five subscriptions); they differ only in transport
-and pacing:
+One run function builds the agents, wires them to one broker (six bus
+clients, their callbacks and five subscriptions) and runs every tick in
+both run modes; the modes differ only in transport and pacing:
 
 * ``deterministic`` - every agent talks through an in-process loopback
   broker on a virtual clock with a fixed per-tick order (wearable ->
@@ -50,7 +50,6 @@ from wingman.protocol import (
     TOPIC_CMD,
     TOPIC_DETECTIONS,
     TOPIC_POSE,
-    CommandMsg,
     DetachMsg,
     canonical_json,
     encode_message,
@@ -82,7 +81,7 @@ class ScenarioConfig:
     mode: str = "deterministic"
     human_start: Vec3 = field(default_factory=Vec3)
     drone_offset: tuple[float, float] = (-1.0, 0.0)  # world (x, z) offset from the human start
-    detach_script: tuple[tuple[float, tuple[Vec3, ...]], ...] = ()
+    detach_script: tuple[tuple[float, tuple[Vec3, ...]], ...] = ()  # (t, waypoints), in time order
     broker_host: str = "127.0.0.1"
     broker_port: int = DEFAULT_PORT
 
@@ -97,6 +96,8 @@ class ScenarioConfig:
             raise ConfigError(f"duration times the pose rate must be finite, got {self.duration}")
         if round(self.duration * self.trajectory.rate) < 1:
             raise ConfigError("duration too short for the pose rate: no ticks to run")
+        if any(a[0] > b[0] for a, b in zip(self.detach_script, self.detach_script[1:])):
+            raise ConfigError("detach_script must be in time order")
         ids = [obj.object_id for obj in self.world]
         if len(ids) != len(set(ids)):
             raise ConfigError("world object ids must be unique")
@@ -107,7 +108,6 @@ class TraceRow:
     t: float
     human: Pose  # world frame
     drone: Pose  # world frame
-    command: CommandMsg | None
     mode: str
 
 
@@ -150,81 +150,30 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> tupl
     return trace, report
 
 
-class _SimCore:
-    """Agents and tick body shared by both run modes."""
-
-    def __init__(self, cfg: ScenarioConfig) -> None:
-        self.cfg = cfg
-        self.trace = RunTrace(human_start=cfg.human_start)
-        heading0 = cfg.trajectory.kind.heading(0.0)
-        self.drone_start = cfg.human_start + Vec3(
-            cfg.drone_offset[0], cfg.follower.altitude, cfg.drone_offset[1]
-        )
-        self.trace.drone_start = self.drone_start
-        self.wearable = WearableSim(cfg.trajectory, cfg.seed)
-        self.drone = DroneAgent(
-            world_start=self.drone_start,
-            max_speed=cfg.follower.max_speed,
-            start_yaw=wrap_angle(heading0 + math.pi),
-        )
-        self.follower = FollowerLoop(
-            cfg.follower,
-            on_event=lambda t, name, data: self.trace.events.append({"t": t, "event": name, **data}),
-        )
-        self.cues = CueEngine(AttentionModel(), human_start=cfg.human_start)
-        self.det_rng = random.Random(f"{cfg.seed}:detector")
-        self.now = 0.0
-        self.dt = 1.0 / cfg.trajectory.rate
-        self.n_ticks = int(round(cfg.duration * cfg.trajectory.rate))
-        self._script_fired = [False] * len(cfg.detach_script)
-        self._next_script_seq = 0
-
-    def log_publish(self, topic: str, payload: bytes) -> None:
-        self.trace.messages.append((self.now, topic, payload))
-
-    def tick(self, k: int, publish_pose, publish_detection, publish_operator) -> None:
-        t = k / self.cfg.trajectory.rate
-        self.now = t
-        for i, (t_script, waypoints) in enumerate(self.cfg.detach_script):
-            if not self._script_fired[i] and t_script <= t:
-                self._script_fired[i] = True
-                order = DetachMsg(waypoints, self._next_script_seq)
-                self._next_script_seq += 1
-                publish_operator(TOPIC_CMD, encode_message(order))
-        truth, msg = self.wearable.next_pose()
-        publish_pose(TOPIC_POSE, encode_message(msg))
-        human_world = Pose(
-            truth.position + self.cfg.human_start, truth.yaw, FrameId.WORLD, t
-        )
-        self.trace.rows.append(
-            TraceRow(
-                t=t,
-                human=human_world,
-                drone=self.drone.world_pose(t),
-                command=self.drone.state.command,
-                mode=self.follower.mission.mode.value,
-            )
-        )
-        self.drone.step(self.dt)
-        for detection in detect_objects(
-            self.drone.world_pose(t), self.cfg.world, self.cfg.detector, self.det_rng
-        ):
-            publish_detection(TOPIC_DETECTIONS, encode_message(detection))
-
-
 _CLIENT_IDS = ("wearable", "follower", "cueing", "drone", "detector", "operator")
 
 
 def _run(cfg: ScenarioConfig) -> RunTrace:
-    """Wire the six bus clients to one broker and run every tick.
+    """Build the agents, wire the six bus clients to one broker and run every tick.
 
     The modes differ only in each client's transport (loopback or TCP)
     and, in sockets mode, in the broker server, the wall-clock pacing,
     the final drain and the shutdown.
     """
-    core = _SimCore(cfg)
+    drone_start = cfg.human_start + Vec3(cfg.drone_offset[0], cfg.follower.altitude, cfg.drone_offset[1])
+    trace = RunTrace(human_start=cfg.human_start, drone_start=drone_start)
+    wearable = WearableSim(cfg.trajectory, cfg.seed)
+    drone = DroneAgent(drone_start, cfg.follower.max_speed, wrap_angle(cfg.trajectory.kind.heading(0.0) + math.pi))
+    follower = FollowerLoop(
+        cfg.follower, on_event=lambda when, name, data: trace.events.append({"t": when, "event": name, **data})
+    )
+    cues = CueEngine(AttentionModel(), human_start=cfg.human_start)
+    det_rng = random.Random(f"{cfg.seed}:detector")
+    rate = cfg.trajectory.rate
+    dt = 1.0 / rate
+    t = 0.0  # the tick time that stamps each logged message
     broker = Broker()
-    broker.on_publish = core.log_publish
+    broker.on_publish = lambda topic, payload: trace.messages.append((t, topic, payload))
     sockets = cfg.mode == "sockets"
     if sockets:
         server = TcpBrokerServer(broker, cfg.broker_host, cfg.broker_port)
@@ -240,11 +189,11 @@ def _run(cfg: ScenarioConfig) -> RunTrace:
             clients.append(MqttClient(transport, client_id))
         wear_client, follower_client, cue_client, drone_client, detector_client, operator_client = clients
 
-        core.follower.publish = follower_client.publish
-        follower_client.on_message = core.follower.on_message
-        cue_client.on_message = core.cues.on_message
-        core.cues.publish = cue_client.publish
-        drone_client.on_message = core.drone.on_message
+        follower.publish = follower_client.publish
+        follower_client.on_message = follower.on_message
+        cue_client.on_message = cues.on_message
+        cues.publish = cue_client.publish
+        drone_client.on_message = drone.on_message
 
         for client in clients:
             client.connect()
@@ -254,15 +203,27 @@ def _run(cfg: ScenarioConfig) -> RunTrace:
         cue_client.subscribe(TOPIC_DETECTIONS)
         drone_client.subscribe(TOPIC_CMD)
 
+        script = cfg.detach_script
+        fired = 0  # the script is in time order, so the orders fired are a prefix
         start = time.monotonic() if sockets else 0.0
-        for k in range(core.n_ticks):
+        for k in range(int(round(cfg.duration * rate))):
             if sockets:
-                lead = start + k * core.dt - time.monotonic()
+                lead = start + k * dt - time.monotonic()
                 if lead > 0:
                     time.sleep(lead)
-            core.tick(k, wear_client.publish, detector_client.publish, operator_client.publish)
+            t = k / rate
+            while fired < len(script) and script[fired][0] <= t:
+                operator_client.publish(TOPIC_CMD, encode_message(DetachMsg(script[fired][1], fired)))
+                fired += 1
+            truth, msg = wearable.next_pose()
+            wear_client.publish(TOPIC_POSE, encode_message(msg))
+            human = Pose(truth.position + cfg.human_start, truth.yaw, FrameId.WORLD, t)
+            trace.rows.append(TraceRow(t, human, drone.world_pose(t), follower.mission.mode.value))
+            drone.step(dt)
+            for detection in detect_objects(drone.world_pose(t), cfg.world, cfg.detector, det_rng):
+                detector_client.publish(TOPIC_DETECTIONS, encode_message(detection))
         if sockets:
-            time.sleep(2 * core.dt)  # let in-flight messages drain
+            time.sleep(2 * dt)  # let in-flight messages drain
     finally:
         if sockets:
             for client in clients:
@@ -271,7 +232,7 @@ def _run(cfg: ScenarioConfig) -> RunTrace:
                 except Exception:
                     pass
             server.stop()
-    return core.trace
+    return trace
 
 
 def open_artifact(path: str | Path) -> TextIO:
@@ -293,9 +254,9 @@ def read_trace_csv(path: str | Path) -> RunTrace:
     """Parse a trace.csv back into a RunTrace anchored at its first row.
 
     The first row's human and drone positions become the frame origins;
-    commands, bus messages and events are not part of the file.
+    bus messages and events are not part of the file.
     """
-    trace = RunTrace()
+    rows = []
     for line_no, parts in read_headed_csv(path, TRACE_HEADER.split(","), ConfigError):
         try:
             t, hx, hy, hz, hyaw, dx, dy, dz, dyaw = (float(v) for v in parts[:9])
@@ -303,12 +264,10 @@ def read_trace_csv(path: str | Path) -> RunTrace:
             drone = Pose(Vec3(dx, dy, dz), dyaw, FrameId.WORLD, t)
         except ValueError as exc:
             raise ConfigError(f"{path} line {line_no}: {exc}") from exc
-        trace.rows.append(TraceRow(t=t, human=human, drone=drone, command=None, mode=parts[9]))
-    if not trace.rows:
+        rows.append(TraceRow(t, human, drone, parts[9]))
+    if not rows:
         raise ConfigError(f"{path}: no data rows")
-    trace.human_start = trace.rows[0].human.position
-    trace.drone_start = trace.rows[0].drone.position
-    return trace
+    return RunTrace(rows, human_start=rows[0].human.position, drone_start=rows[0].drone.position)
 
 
 def write_report_json(report: SyncReport, path: str | Path) -> None:
@@ -414,6 +373,9 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
         port = doc["broker_port"] if "broker_port" in doc else broker_port_default()
         if isinstance(port, bool) or not isinstance(port, int) or not 0 <= port <= 65535:
             raise ConfigError(f"broker_port must be 0..65535, got {port!r}")
+        host = doc.get("broker_host", "127.0.0.1")
+        if not isinstance(host, str) or not host:
+            raise ConfigError(f"broker_host must be a non-empty string, got {host!r}")
         return ScenarioConfig(
             trajectory=trajectory,
             follower=follower,
@@ -425,7 +387,7 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
             human_start=human_start,
             drone_offset=(_number(offset[0], "drone_offset[0]"), _number(offset[1], "drone_offset[1]")),
             detach_script=detach,
-            broker_host=doc.get("broker_host", "127.0.0.1"),
+            broker_host=host,
             broker_port=port,
         )
     except ConfigError:
@@ -527,15 +489,12 @@ def _world_from_dict(doc: dict, base_dir: Path) -> tuple[WorldObject, ...]:
         if not isinstance(entry, dict):
             raise ConfigError(f"world[{i}] must be an object")
         try:
-            objects.append(
-                WorldObject(
-                    object_id=str(entry["id"]),
-                    label=str(entry.get("label", "")),
-                    position=Vec3(*(_number(entry[axis], f"world[{i}].{axis}") for axis in "xyz")),
-                )
-            )
+            position = Vec3(*(_number(entry[axis], f"world[{i}].{axis}") for axis in "xyz"))
+            objects.append(WorldObject(entry["id"], entry.get("label", ""), position))
         except KeyError as exc:
             raise ConfigError(f"world[{i}] missing field {exc.args[0]!r}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"world[{i}].{exc}") from exc
     return tuple(objects)
 
 

@@ -150,7 +150,8 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
 
 
 # each holds one config number that is a bool, a string, NaN, an infinity
-# or too large: every one is a config error, exit 2, and names its field
+# or too large, or one config string that is empty or not a string: every
+# one is a config error, exit 2, and names its field
 BAD_NUMBERS = [
     ('"seed": true', "seed"),
     ('"broker_port": true', "broker_port"),
@@ -171,6 +172,12 @@ BAD_NUMBERS = [
     ('"detach": [{"t": 0.5, "waypoints": [[0, 0, 1], ["1.5", 0, 0]]}]', "detach[0].waypoints[1][0]"),
     ('"detach": [{"t": 0.5, "waypoints": [[0, true, 0]]}]', "detach[0].waypoints[0][1]"),
     ('"detach": [{"t": Infinity, "waypoints": [[0, 0, 1]]}]', "detach[0].t"),
+    ('"world": [{"id": "", "x": 0, "y": 0, "z": 1}]', "world[0].id"),
+    ('"world": [{"id": null, "x": 0, "y": 0, "z": 1}]', "world[0].id"),
+    ('"world": [{"id": "c", "x": 0, "y": 0, "z": 1}, {"id": 5, "x": 0, "y": 0, "z": 2}]', "world[1].id"),
+    ('"world": [{"id": "c", "label": 5, "x": 0, "y": 0, "z": 1}]', "world[0].label"),
+    ('"mode": "sockets", "broker_host": 5', "broker_host"),
+    ('"broker_host": ""', "broker_host"),
 ]
 
 
@@ -180,6 +187,15 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, entry, name):
     cfg.write_text('{"duration": 0.5, ' + entry + "}")  # the later of two "duration" keys wins
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+
+def test_bad_world_csv_rows_name_their_line(tmp_path, capsys):
+    world = tmp_path / "world.csv"
+    for row, error in ((",a,0,0,1", "id must be a non-empty string, got ''"),
+                       ("c1,a,nan,0,1", "object 'c1': non-finite position")):
+        world.write_text(f"id,label,x,y,z\nc0,a,0,0,2\n{row}\n")
+        assert main(["run", "--world-csv", str(world), "--duration", "1"]) == 2
+        assert f"{world} line 3: {error}" in capsys.readouterr().err
 
 
 def test_bad_number_overrides_exit_2(capsys):

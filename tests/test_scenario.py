@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import threading
@@ -16,6 +17,7 @@ from wingman.protocol import (
     TOPIC_CUES,
     TOPIC_DETECTIONS,
     TOPIC_POSE,
+    DetachMsg,
     canonical_json,
     decode_message,
     format_float,
@@ -202,6 +204,35 @@ def test_detach_scenario_mission_cycle():
     row = next(r for r in trace.rows if abs(r.t - resumed["t"]) < 1e-9)
     drone_frame_pos = world_to_drone_frame(row.drone.position, trace.drone_start)
     assert (drone_frame_pos - Vec3(*resumed["target"])).norm() <= 0.05
+
+
+def test_detach_orders_fire_once_each_in_time_order():
+    # config order is not time order; the two orders at t = 1.0 keep theirs
+    script = [(1.0, [0.1, 0, 0]), (-1, [0.2, 0, 0]), (1.0, [0.3, 0, 0])]
+    cfg = base_cfg(duration=2.0, detach=[{"t": t, "waypoints": [w]} for t, w in script])
+    trace, _ = run_scenario(cfg)
+    orders = []
+    for t, topic, payload in trace.messages:
+        msg = decode_message(topic, payload) if topic == TOPIC_CMD else None
+        if isinstance(msg, DetachMsg):
+            orders.append((t, msg.waypoints[0].x, msg.sequence))
+    first_tick = [next(row.t for row in trace.rows if row.t >= t) for t in (-1, 1.0, 1.0)]
+    assert orders == [(first_tick[0], 0.2, 0), (first_tick[1], 0.1, 1), (first_tick[2], 0.3, 2)]
+    assert first_tick == [0.0, 1.0, 1.0]
+    # the run fires the script through one cursor, so a config built
+    # directly must keep it in time order too
+    with pytest.raises(ConfigError, match="time order"):
+        dataclasses.replace(cfg, detach_script=cfg.detach_script[::-1])
+
+
+def test_deterministic_mode_never_reads_the_wall_clock(monkeypatch):
+    def wall_clock(*args):
+        raise AssertionError("deterministic mode read the wall clock")
+
+    monkeypatch.setattr(scenario.time, "monotonic", wall_clock)
+    monkeypatch.setattr(scenario.time, "sleep", wall_clock)
+    trace, _ = run_scenario(load_config(CONFIGS / "boomerang.json"))
+    assert len(trace.rows) == 600 and "DETACH" in {row.mode for row in trace.rows}
 
 
 def test_deterministic_runs_are_byte_identical(tmp_path):
@@ -459,7 +490,7 @@ def test_writers_hold_no_copy_of_the_file(tmp_path):
         t = k / 10
         human = Pose(Vec3(k * 1e-3, 0.0, -k * 2e-3), 0.25, FrameId.WORLD, t)
         drone = Pose(Vec3(k * 1e-3 - 1.0, 0.5, -k * 2e-3), -1.5, FrameId.WORLD, t)
-        rows.append(TraceRow(t, human, drone, None, "FOLLOW"))
+        rows.append(TraceRow(t, human, drone, "FOLLOW"))
     path = tmp_path / "trace.csv"
     assert traced_peak(write_trace_csv, RunTrace(rows=rows), path) < WRITER_PEAK_BOUND
     assert path.stat().st_size > WRITER_PEAK_BOUND
@@ -471,9 +502,9 @@ def test_sockets_mode_smoke():
     assert len(trace.rows) == 12
     assert 0.0 < report.similarity <= 1.0
     # every subscription is wired over TCP too: the follower hears poses
-    # and the drone hears its commands
+    # and the drone hears its commands and moves
     assert any(topic == TOPIC_CMD for _, topic, _ in trace.messages)
-    assert any(row.command is not None for row in trace.rows)
+    assert trace.rows[-1].drone.position != trace.rows[0].drone.position
 
 
 def test_sockets_mode_follower_hears_the_operator():
