@@ -34,13 +34,16 @@ from wingman.protocol import (
     decode_message,
 )
 
+# one revolution per 20 s, the desk-scale walking pace
+_WALK_ANGULAR_SPEED = 2 * math.pi / 20.0
+
 
 @dataclass(frozen=True)
 class Circle:
     """Circle walked from the origin; its center sits at (-radius, 0, 0)."""
 
-    radius: float
-    angular_speed: float
+    radius: float = 0.5
+    angular_speed: float = _WALK_ANGULAR_SPEED
 
     def __post_init__(self) -> None:
         if self.radius <= 0:
@@ -59,15 +62,15 @@ class Circle:
 class Ellipse:
     """Ellipse walked from the origin; its center sits at (-a, 0, 0)."""
 
-    semi_axis_a: float
-    semi_axis_b: float
-    angular_speed: float
+    semi_axis_a: float = 0.75
+    semi_axis_b: float = 0.5
+    angular_speed: float = _WALK_ANGULAR_SPEED
 
     def __post_init__(self) -> None:
-        if self.semi_axis_a <= 0 or self.semi_axis_b <= 0:
-            raise ValueError(
-                f"semi-axes must be > 0, got a={self.semi_axis_a}, b={self.semi_axis_b}"
-            )
+        if self.semi_axis_a <= 0:
+            raise ValueError(f"semi_axis_a must be > 0, got {self.semi_axis_a}")
+        if self.semi_axis_b <= 0:
+            raise ValueError(f"semi_axis_b must be > 0, got {self.semi_axis_b}")
 
     def position(self, t: float) -> Vec3:
         a, b, w = self.semi_axis_a, self.semi_axis_b, self.angular_speed

@@ -1,8 +1,10 @@
 """Scenario orchestration: config loading, the run engine, trace recording.
 
-One run function builds the agents, wires them to one broker (six bus
-clients, their callbacks and five subscriptions) and runs every tick in
-both run modes; the modes differ only in transport and pacing:
+One table walk reads every config object: each refuses unknown keys, and
+a key left out keeps its dataclass default. One run function builds the
+agents, wires them to one broker (six bus clients, their callbacks and
+five subscriptions) and runs every tick in both run modes; the modes
+differ only in transport and pacing, and a fault in a callback fails both:
 
 * ``deterministic`` - every agent talks through an in-process loopback
   broker on a virtual clock with a fixed per-tick order (wearable ->
@@ -60,9 +62,6 @@ from wingman.transport.broker import DEFAULT_PORT
 
 TRACE_HEADER = "t,hx,hy,hz,hyaw,dx,dy,dz,dyaw,mode"
 
-# one revolution per 20 s, the desk-scale walking pace
-_DEFAULT_ANGULAR_SPEED = 2 * math.pi / 20.0
-
 PORT_ENV_VAR = "WINGMAN_BROKER_PORT"
 
 
@@ -72,7 +71,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    trajectory: TrajectorySpec
+    trajectory: TrajectorySpec = field(default_factory=lambda: TrajectorySpec(Circle()))
     follower: FollowerConfig = field(default_factory=FollowerConfig)
     detector: DetectorParams = field(default_factory=DetectorParams)
     world: tuple[WorldObject, ...] = ()
@@ -96,11 +95,19 @@ class ScenarioConfig:
             raise ConfigError(f"duration times the pose rate must be finite, got {self.duration}")
         if round(self.duration * self.trajectory.rate) < 1:
             raise ConfigError("duration too short for the pose rate: no ticks to run")
+        if len(self.drone_offset) != 2:
+            raise ConfigError("drone_offset must be a [x, z] pair")
         if any(a[0] > b[0] for a, b in zip(self.detach_script, self.detach_script[1:])):
             raise ConfigError("detach_script must be in time order")
         ids = [obj.object_id for obj in self.world]
         if len(ids) != len(set(ids)):
             raise ConfigError("world object ids must be unique")
+        if not all(waypoints for _, waypoints in self.detach_script):
+            raise ConfigError("each detach order needs at least one waypoint")
+        if isinstance(self.broker_port, bool) or not isinstance(self.broker_port, int) or not 0 <= self.broker_port <= 65535:
+            raise ConfigError(f"broker_port must be 0..65535, got {self.broker_port!r}")
+        if not isinstance(self.broker_host, str) or not self.broker_host:
+            raise ConfigError(f"broker_host must be a non-empty string, got {self.broker_host!r}")
 
 
 @dataclass(frozen=True)
@@ -183,6 +190,13 @@ def _run(cfg: ScenarioConfig) -> RunTrace:
             raise RuntimeError(f"broker bind failed on {cfg.broker_host}:{cfg.broker_port}: {exc}") from exc
 
     clients: list[MqttClient] = []
+
+    def raise_reader_fault() -> None:  # a fault that ended a TCP reader thread fails the run
+        for client in clients:
+            fault = client.transport.fault
+            if fault is not None:
+                raise RuntimeError(f"client {client.client_id} failed: {fault!r}") from fault
+
     try:
         for client_id in _CLIENT_IDS:
             transport = SocketTransport(cfg.broker_host, server.port) if sockets else MemoryTransport(broker)
@@ -211,6 +225,7 @@ def _run(cfg: ScenarioConfig) -> RunTrace:
                 lead = start + k * dt - time.monotonic()
                 if lead > 0:
                     time.sleep(lead)
+                raise_reader_fault()
             t = k / rate
             while fired < len(script) and script[fired][0] <= t:
                 operator_client.publish(TOPIC_CMD, encode_message(DetachMsg(script[fired][1], fired)))
@@ -224,6 +239,7 @@ def _run(cfg: ScenarioConfig) -> RunTrace:
                 detector_client.publish(TOPIC_DETECTIONS, encode_message(detection))
         if sockets:
             time.sleep(2 * dt)  # let in-flight messages drain
+            raise_reader_fault()
     finally:
         if sockets:
             for client in clients:
@@ -348,52 +364,90 @@ def _merge(base: dict, overrides: dict) -> dict:
     return merged
 
 
-_TOP_KEYS = {
-    "mode", "duration", "seed", "trajectory", "follower", "detector", "world",
-    "world_csv", "human_start", "drone_offset", "detach", "broker_host", "broker_port",
-}
-
-
 def config_from_dict(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from plain JSON data."""
+    """Build and validate a ScenarioConfig from plain JSON data, resolving CSV paths against ``base_dir``.
+
+    One walk reads every config object by its table (see ``_object``). A key left out keeps its
+    dataclass default; only ``broker_port`` falls back to ``WINGMAN_BROKER_PORT`` first.
+    """
     base_dir = Path(base_dir)
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+
+    def csv(load, what: str):
+        """A parser of a CSV path relative to ``base_dir``, read by ``load``."""
+        def parse(value, name: str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a path, got {value!r}")
+            resolved = base_dir / value
+            if not resolved.exists():
+                raise ConfigError(f"{what} csv {resolved} does not exist")
+            return load(resolved)
+        return parse
+
+    waypoints = {**_SPEC_KEYS, "csv": ("path", csv(load_waypoints_csv, "waypoints"))}
+    kinds = {**_KINDS, "waypoints": _object(_spec(lambda path: path), waypoints, required=("csv",))}
+    read = _object(ScenarioConfig, {
+        "mode": ("mode", _as_is),
+        "duration": ("duration", _number),
+        "seed": ("seed", _as_is),
+        "trajectory": ("trajectory", lambda value, name: _trajectory(value, name, kinds)),
+        "follower": ("follower", _FOLLOWER),
+        "detector": ("detector", _DETECTOR),
+        "world": ("world", _list(_WORLD_OBJECT)),
+        "world_csv": ("world", csv(lambda path: tuple(load_world_csv(path)), "world")),
+        "human_start": ("human_start", _vec3),
+        "drone_offset": ("drone_offset", _list(_number)),
+        "detach": ("detach_script", _detach_script),
+        "broker_host": ("broker_host", _as_is),
+        "broker_port": ("broker_port", _as_is),
+    })
     try:
-        trajectory = _trajectory_from_dict(doc.get("trajectory", {"kind": "circle"}), base_dir)
-        follower = _section_from_dict(doc, "follower")
-        detector = _section_from_dict(doc, "detector")
-        world = _world_from_dict(doc, base_dir)
-        human_start = _vec3(doc.get("human_start", [0.0, 0.0, 0.0]), "human_start")
-        offset = doc.get("drone_offset", [-1.0, 0.0])
-        if not isinstance(offset, (list, tuple)) or len(offset) != 2:
-            raise ConfigError("drone_offset must be a [x, z] pair")
-        detach = _detach_from_dict(doc.get("detach", []))
-        port = doc["broker_port"] if "broker_port" in doc else broker_port_default()
-        if isinstance(port, bool) or not isinstance(port, int) or not 0 <= port <= 65535:
-            raise ConfigError(f"broker_port must be 0..65535, got {port!r}")
-        host = doc.get("broker_host", "127.0.0.1")
-        if not isinstance(host, str) or not host:
-            raise ConfigError(f"broker_host must be a non-empty string, got {host!r}")
-        return ScenarioConfig(
-            trajectory=trajectory,
-            follower=follower,
-            detector=detector,
-            world=world,
-            duration=_number(doc.get("duration", 60.0), "duration"),
-            seed=doc.get("seed", 0),
-            mode=doc.get("mode", "deterministic"),
-            human_start=human_start,
-            drone_offset=(_number(offset[0], "drone_offset[0]"), _number(offset[1], "drone_offset[1]")),
-            detach_script=detach,
-            broker_host=host,
-            broker_port=port,
-        )
-    except ConfigError:
-        raise
+        if "broker_port" not in doc:
+            doc = {**doc, "broker_port": broker_port_default()}
+        return read(doc, "")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _object(make, keys: dict, required: tuple = ()):
+    """A parser of one config object, driven by its table ``keys``: config key -> (keyword of
+    ``make``, parser of the value by its dotted name). Only the keys given reach ``make``. An
+    unknown key, a missing required one or two keys for one keyword are refused, and a
+    ValueError of ``make`` is prefixed with the object's name.
+    """
+    def parse(doc, name: str):
+        label = name or "config"
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{label} must be an object")
+        unknown = doc.keys() - keys
+        if unknown:
+            raise ConfigError(f"unknown {label} keys: {', '.join(sorted(unknown))}")
+        kwargs, given = {}, {}
+        for key, (keyword, read) in keys.items():
+            if key in doc:
+                if keyword in given:
+                    raise ConfigError(f"give either {given[keyword]} or {key}, not both")
+                given[keyword] = key
+                kwargs[keyword] = read(doc[key], f"{name}.{key}" if name else key)
+            elif key in required:
+                raise ConfigError(f"{label} missing field {key!r}")
+        try:
+            return make(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{exc}" if name else str(exc)) from exc
+    return parse
+
+
+def _list(read):
+    """A parser of a config list whose items ``read`` parses, each named ``name[i]``."""
+    def parse(value, name: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list")
+        return tuple(read(item, f"{name}[{i}]") for i, item in enumerate(value))
+    return parse
+
+
+def _as_is(value, name: str):  # a config value that its constructor checks
+    return value
 
 
 def _number(value, name: str) -> float:
@@ -409,104 +463,48 @@ def _vec3(value, name: str) -> Vec3:
     return Vec3(*(_number(v, f"{name}[{i}]") for i, v in enumerate(value)))
 
 
-def _trajectory_from_dict(doc: dict, base_dir: Path) -> TrajectorySpec:
-    if not isinstance(doc, dict):
-        raise ConfigError("trajectory must be an object")
-    doc = dict(doc)
-    kind_name = doc.pop("kind", "circle")
-    noise_sigma = _number(doc.pop("noise_sigma", 0.0), "trajectory.noise_sigma")
-    rate = _number(doc.pop("rate", 10.0), "trajectory.rate")
-    if kind_name == "circle":
-        kind = Circle(
-            radius=_number(doc.pop("radius", 0.5), "trajectory.radius"),
-            angular_speed=_number(doc.pop("angular_speed", _DEFAULT_ANGULAR_SPEED), "trajectory.angular_speed"),
-        )
-    elif kind_name == "ellipse":
-        kind = Ellipse(
-            semi_axis_a=_number(doc.pop("semi_axis_a", 0.75), "trajectory.semi_axis_a"),
-            semi_axis_b=_number(doc.pop("semi_axis_b", 0.5), "trajectory.semi_axis_b"),
-            angular_speed=_number(doc.pop("angular_speed", _DEFAULT_ANGULAR_SPEED), "trajectory.angular_speed"),
-        )
-    elif kind_name == "waypoints":
-        csv_path = doc.pop("csv", None)
-        if csv_path is None:
-            raise ConfigError("waypoints trajectory requires a csv path")
-        resolved = base_dir / csv_path
-        if not resolved.exists():
-            raise ConfigError(f"waypoints csv {resolved} does not exist")
-        kind = load_waypoints_csv(resolved)
-    else:
-        raise ConfigError(f"unknown trajectory kind {kind_name!r}")
-    if doc:
-        raise ConfigError(f"unknown trajectory keys: {', '.join(sorted(doc))}")
-    return TrajectorySpec(kind=kind, noise_sigma=noise_sigma, rate=rate)
+def _spec(make_kind):
+    """TrajectorySpec's constructor: ``make_kind`` builds the kind from the keywords not the spec's."""
+    def make(kind=None, **kwargs):  # the kind's name has already picked its table
+        spec = {key: kwargs.pop(key) for key in ("noise_sigma", "rate") if key in kwargs}
+        return TrajectorySpec(make_kind(**kwargs), **spec)
+    return make
 
 
-# flat config sections: class, and config key -> (class field, parser)
-_SECTIONS = {
-    "follower": (FollowerConfig, {
-        "update_period": ("update_period", _number),
-        "max_speed": ("max_speed", _number),
-        "altitude": ("altitude", _number),
-        "deadband": ("deadband", _number),
-        "follow_offset": ("follow_offset", _vec3),
-    }),
-    "detector": (DetectorParams, {
-        "fov": ("fov", _number),
-        "range": ("range_m", _number),
-        "p_detect": ("p_detect", _number),
-        "pos_noise_sigma": ("pos_noise_sigma", _number),
-    }),
+# a trajectory object holds TrajectorySpec's keys and those of its kind
+_SPEC_KEYS = {"kind": ("kind", _as_is), "noise_sigma": ("noise_sigma", _number), "rate": ("rate", _number)}
+_KINDS = {
+    "circle": _object(_spec(Circle), {
+        **_SPEC_KEYS, "radius": ("radius", _number), "angular_speed": ("angular_speed", _number)}),
+    "ellipse": _object(_spec(Ellipse), {
+        **_SPEC_KEYS, "semi_axis_a": ("semi_axis_a", _number), "semi_axis_b": ("semi_axis_b", _number),
+        "angular_speed": ("angular_speed", _number)}),
 }
 
 
-def _section_from_dict(config: dict, section: str):
-    """Build one flat section's object; absent keys keep the class defaults."""
-    cls, keys = _SECTIONS[section]
-    doc = config.get(section, {})
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{section} must be an object")
-    doc = dict(doc)
-    kwargs = {}
-    for key, (name, parse) in keys.items():
-        if key in doc:
-            kwargs[name] = parse(doc.pop(key), f"{section}.{key}")
-    if doc:
-        raise ConfigError(f"unknown {section} keys: {', '.join(sorted(doc))}")
-    return cls(**kwargs)
+def _trajectory(doc, name: str, kinds: dict) -> TrajectorySpec:
+    """A trajectory object, read by the table of its ``kind`` (a circle if not given)."""
+    kind = doc.get("kind", "circle") if isinstance(doc, dict) else "circle"
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown trajectory kind {kind!r}")
+    return kinds[kind](doc, name)
 
 
-def _world_from_dict(doc: dict, base_dir: Path) -> tuple[WorldObject, ...]:
-    if "world" in doc and "world_csv" in doc:
-        raise ConfigError("give either world or world_csv, not both")
-    if "world_csv" in doc:
-        resolved = base_dir / doc["world_csv"]
-        if not resolved.exists():
-            raise ConfigError(f"world csv {resolved} does not exist")
-        return tuple(load_world_csv(resolved))
-    objects = []
-    for i, entry in enumerate(doc.get("world", [])):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"world[{i}] must be an object")
-        try:
-            position = Vec3(*(_number(entry[axis], f"world[{i}].{axis}") for axis in "xyz"))
-            objects.append(WorldObject(entry["id"], entry.get("label", ""), position))
-        except KeyError as exc:
-            raise ConfigError(f"world[{i}] missing field {exc.args[0]!r}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"world[{i}].{exc}") from exc
-    return tuple(objects)
+_FOLLOWER = _object(FollowerConfig, {"update_period": ("update_period", _number), "max_speed": ("max_speed", _number),
+                                      "altitude": ("altitude", _number), "deadband": ("deadband", _number),
+                                      "follow_offset": ("follow_offset", _vec3)})
+_DETECTOR = _object(DetectorParams, {"fov": ("fov", _number), "range": ("range_m", _number),
+                                     "p_detect": ("p_detect", _number), "pos_noise_sigma": ("pos_noise_sigma", _number)})
+_WORLD_OBJECT = _object(
+    lambda object_id, x, y, z, label="": WorldObject(object_id, label, Vec3(x, y, z)),
+    {"id": ("object_id", _as_is), "label": ("label", _as_is),
+     "x": ("x", _number), "y": ("y", _number), "z": ("z", _number)},
+    required=("id", "x", "y", "z"),
+)
+_DETACH_ORDERS = _list(_object(lambda t, waypoints: (t, waypoints),
+                               {"t": ("t", _number), "waypoints": ("waypoints", _list(_vec3))}, required=("t", "waypoints")))
 
 
-def _detach_from_dict(entries) -> tuple[tuple[float, tuple[Vec3, ...]], ...]:
-    if not isinstance(entries, list):
-        raise ConfigError("detach must be a list of {t, waypoints} objects")
-    script = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "t" not in entry or "waypoints" not in entry:
-            raise ConfigError(f"detach[{i}] must have t and waypoints")
-        waypoints = tuple(_vec3(w, f"detach[{i}].waypoints[{j}]") for j, w in enumerate(entry["waypoints"]))
-        if not waypoints:
-            raise ConfigError(f"detach[{i}] needs at least one waypoint")
-        script.append((_number(entry["t"], f"detach[{i}].t"), waypoints))
-    return tuple(sorted(script, key=lambda e: e[0]))
+def _detach_script(value, name: str) -> tuple[tuple[float, tuple[Vec3, ...]], ...]:
+    """The detach orders in time order; the sort is stable, so ties keep their config order."""
+    return tuple(sorted(_DETACH_ORDERS(value, name), key=lambda order: order[0]))

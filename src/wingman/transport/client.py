@@ -78,7 +78,12 @@ class _MemoryConnection:
 
 
 class SocketTransport:
-    """TCP link with a background reader thread that decodes the stream."""
+    """TCP link with a background reader thread that decodes the stream.
+
+    An exception on the reader thread, from the decoder or from the
+    receiver, is kept in ``fault`` and closes the link; the owner of the
+    link decides how to fail.
+    """
 
     def __init__(self, host: str, port: int) -> None:
         self._sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT)
@@ -86,6 +91,7 @@ class SocketTransport:
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # small frames
         self._decoder = PacketDecoder()
         self._open = True
+        self.fault: Exception | None = None
 
     def set_receiver(self, callback: Callable[[Packet], None]) -> None:
         threading.Thread(target=self._read_loop, args=(callback,), daemon=True, name="mqtt-reader").start()
@@ -105,15 +111,19 @@ class SocketTransport:
             self._sock.close()
 
     def _read_loop(self, receiver: Callable[[Packet], None]) -> None:
-        while self._open:
-            try:
-                data = self._sock.recv(4096)
-            except OSError:
-                return
-            if not data:
-                return
-            for packet in self._decoder.feed(data):
-                receiver(packet)
+        try:
+            while self._open:
+                try:
+                    data = self._sock.recv(4096)
+                except OSError:
+                    return
+                if not data:
+                    return
+                for packet in self._decoder.feed(data):
+                    receiver(packet)
+        except Exception as exc:
+            self.fault = exc
+            self.close()
 
 
 class MqttClient:
@@ -132,13 +142,13 @@ class MqttClient:
     ) -> None:
         self.client_id = client_id
         self.on_message = on_message
-        self._transport = transport
+        self.transport = transport
         self._acks: queue.Queue[Packet] = queue.Queue()
         self._next_packet_id = 1
         transport.set_receiver(self._on_packet)
 
     def connect(self) -> None:
-        self._transport.send(Connect(self.client_id))
+        self.transport.send(Connect(self.client_id))
         ack = self._wait_ack()
         if not isinstance(ack, ConnAck):
             raise ProtocolError(f"expected CONNACK, got {type(ack).__name__}")
@@ -146,26 +156,26 @@ class MqttClient:
     def subscribe(self, filter_: str) -> None:
         packet_id = self._next_packet_id
         self._next_packet_id = packet_id % 0xFFFF + 1
-        self._transport.send(Subscribe(packet_id, filter_))
+        self.transport.send(Subscribe(packet_id, filter_))
         ack = self._wait_ack()
         if not isinstance(ack, SubAck) or ack.packet_id != packet_id:
             raise ProtocolError(f"expected SUBACK {packet_id}, got {ack!r}")
 
     def publish(self, topic: str, payload: bytes) -> None:
-        self._transport.send(Publish(topic, payload))
+        self.transport.send(Publish(topic, payload))
 
     def ping(self) -> None:
-        self._transport.send(PingReq())
+        self.transport.send(PingReq())
         ack = self._wait_ack()
         if not isinstance(ack, PingResp):
             raise ProtocolError(f"expected PINGRESP, got {type(ack).__name__}")
 
     def disconnect(self) -> None:
         try:
-            self._transport.send(Disconnect())
+            self.transport.send(Disconnect())
         except (TransportClosed, OSError):
             pass
-        self._transport.close()
+        self.transport.close()
 
     def _wait_ack(self) -> Packet:
         try:

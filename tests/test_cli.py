@@ -15,6 +15,8 @@ import wingman
 from wingman.cli import main
 from wingman.transport import MqttClient, SocketTransport
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def test_gen_trajectory_circle(tmp_path, capsys):
     out = tmp_path / "circle.csv"
@@ -178,6 +180,10 @@ BAD_NUMBERS = [
     ('"world": [{"id": "c", "label": 5, "x": 0, "y": 0, "z": 1}]', "world[0].label"),
     ('"mode": "sockets", "broker_host": 5', "broker_host"),
     ('"broker_host": ""', "broker_host"),
+    # a value that must be a list names its field
+    ('"world": "abc"', "world"),
+    ('"world": {"id": "c", "x": 0, "y": 0, "z": 1}', "world"),
+    ('"detach": [{"t": 0.5, "waypoints": 5}]', "detach[0].waypoints"),
 ]
 
 
@@ -187,6 +193,55 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, entry, name):
     cfg.write_text('{"duration": 0.5, ' + entry + "}")  # the later of two "duration" keys wins
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+
+# every config object refuses a key it does not know, and says which object
+UNKNOWN_KEYS = [
+    ('"typo": 1', "config", "typo"),
+    ('"trajectory": {"kind": "circle", "semi_axis_a": 1}', "trajectory", "semi_axis_a"),
+    ('"trajectory": {"kind": "ellipse", "radius": 1}', "trajectory", "radius"),
+    ('"trajectory": {"kind": "waypoints", "csv": "way.csv", "radius": 1}', "trajectory", "radius"),
+    ('"follower": {"update_periode": 0.1}', "follower", "update_periode"),
+    ('"detector": {"range_m": 4}', "detector", "range_m"),
+    ('"world": [{"id": "c", "lable": "box", "x": 0, "y": 0, "z": 1}]', "world[0]", "lable"),
+    ('"detach": [{"t": 0.5, "waypoints": [[0, 0, 1]], "speed": 3}]', "detach[0]", "speed"),
+]
+
+
+@pytest.mark.parametrize("entry,section,key", UNKNOWN_KEYS, ids=[section for _, section, _ in UNKNOWN_KEYS])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, entry, section, key):
+    (tmp_path / "way.csv").write_text("t,x,y,z\n0,0,0,0\n1,1,0,0\n")
+    cfg = tmp_path / "keys.json"
+    cfg.write_text('{"duration": 0.5, ' + entry + "}")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: unknown {section} keys: {key}\n"
+
+
+def test_config_values_that_must_be_lists_say_so(capsys):
+    for flag, name in (("world=5", "world"), ('detach={"t": 0.5}', "detach"),
+                       ('detach=[{"t": 0.5, "waypoints": "abc"}]', "detach[0].waypoints")):
+        assert main(["run", "--duration", "0.5", "--set", flag]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be a list\n"
+
+
+def test_a_callback_fault_in_sockets_mode_fails_the_run(monkeypatch, capsys):
+    from wingman.follower import FollowerLoop
+
+    calls = []
+    on_message = FollowerLoop.on_message
+
+    def fifth_call_raises(self, topic, payload):
+        calls.append(topic)
+        if len(calls) == 5:
+            raise RuntimeError("follower bug")
+        return on_message(self, topic, payload)
+
+    monkeypatch.setattr(FollowerLoop, "on_message", fifth_call_raises)
+    assert main(["run", "--config", str(CONFIGS / "demo.json"), "--mode", "sockets", "--port", "0",
+                 "--duration", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: client follower failed: RuntimeError('follower bug')\n"
+    assert captured.out == ""
 
 
 def test_bad_world_csv_rows_name_their_line(tmp_path, capsys):

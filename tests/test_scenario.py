@@ -121,6 +121,16 @@ def test_port_env_override(monkeypatch, tmp_path):
     assert load_config(cfg_path).broker_port == 1999
 
 
+def test_each_default_and_broker_check_has_one_home():
+    # the parser passes only the keys given, so the dataclass defaults are the config defaults
+    assert config_from_dict({"broker_port": 1883}) == ScenarioConfig()
+    # a config built in Python is checked like one read from a file
+    for bad in ({"broker_port": True}, {"broker_port": 70000}, {"broker_port": -1}, {"broker_host": 5},
+                {"broker_host": ""}):
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must be"):
+            ScenarioConfig(**bad)
+
+
 def base_cfg(**kw) -> ScenarioConfig:
     doc = {"duration": 3.0, "seed": 11}
     doc.update(kw)

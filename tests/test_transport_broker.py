@@ -592,3 +592,48 @@ def test_tcp_bind_failure_raises():
             second.start()
     finally:
         first.stop()
+
+
+# the decoder refuses a reserved packet type; the client refuses a CONNECT, which no broker sends
+@pytest.mark.parametrize("sent", [b"\x00\x00", encode_packet(Connect("x"))], ids=["reserved-type", "connect"])
+def test_tcp_reader_keeps_a_protocol_fault_and_closes_the_link(sent, monkeypatch):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        transport = SocketTransport("127.0.0.1", listener.getsockname()[1])
+        MqttClient(transport, "c")
+        peer, _ = listener.accept()
+        with peer:
+            peer.sendall(sent)
+            assert wait_until(lambda: transport.fault is not None)
+            assert isinstance(transport.fault, packets.ProtocolError)
+            assert peer.recv(16) == b""  # the client closed the link
+    with pytest.raises(TransportClosed):
+        transport.send(PingReq())
+    assert hooked == []
+
+
+def test_tcp_reader_keeps_a_callback_fault_and_the_broker_drops_the_session(monkeypatch):
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    broker = Broker()
+    server = TcpBrokerServer(broker, "127.0.0.1", 0)
+    server.start()
+    try:
+        def bad_callback(topic, payload):
+            raise RuntimeError("subscriber bug")
+
+        sub = MqttClient(SocketTransport("127.0.0.1", server.port), "sub", on_message=bad_callback)
+        pub = MqttClient(SocketTransport("127.0.0.1", server.port), "pub")
+        sub.connect()
+        pub.connect()
+        sub.subscribe("t")
+        pub.publish("t", b"x")
+        assert wait_until(lambda: sub.transport.fault is not None)
+        assert repr(sub.transport.fault) == "RuntimeError('subscriber bug')"
+        assert wait_until(lambda: set(broker.state.sessions) == {"pub"})
+        sub.disconnect()
+        pub.disconnect()
+    finally:
+        server.stop()
+    assert hooked == []
