@@ -231,6 +231,7 @@ class FollowerLoop:
         self.missed_count = 0
         self.protocol_error_count = 0
         self._prev: Pose | None = None
+        self._held: Pose | None = None  # a pairing start behind the human since a gap
         self._base = Vec3()  # drone-frame position the next follow command builds on
         self._flight: _LegFlight | None = None
         self._last_seq: dict[str, int] = {}
@@ -314,26 +315,45 @@ class FollowerLoop:
 
     def _run_assess(self, pose: Pose) -> None:
         cfg = self.cfg
-        if self._prev is None:
+        prev = self._prev
+        if prev is None:
             self._prev = pose
             return
-        gap = pose.timestamp - self._prev.timestamp
+        gap = pose.timestamp - prev.timestamp
         if gap < cfg.update_period - 1e-9:
             return  # accumulate until a full period has elapsed
         if gap > 2 * cfg.update_period + 1e-9:
-            # missed updates: hold position, restart from this pose
+            # missed updates: hold position, and restart the pairing at this
+            # pose's time but from the last paired position, so the
+            # displacement the gap skipped is kept for the next commands
             self.missed_count += 1
+            self._prev = self._held = replace(prev, timestamp=pose.timestamp)
+            return
+        if prev is self._held:
+            cmd = self._catch_up(prev, pose)
+        else:
+            try:
+                cmd = assess(prev, pose, self._base, cfg)
+            except StalePoseError:
+                self.stale_count += 1
+                return
             self._prev = pose
-            return
-        try:
-            cmd = assess(self._prev, pose, self._base, cfg)
-        except StalePoseError:
-            self.stale_count += 1
-            return
-        self._prev = pose
         if cmd is not None:
             self._base = cmd.target
             self._send(cmd)
+
+    def _catch_up(self, held: Pose, pose: Pose) -> IssueCommand | None:
+        """The assessment from a pairing restarted across a gap: its command
+        covers as much of the displacement since ``held`` as ``max_speed``
+        reaches in the period, deadband or not, and the pairing restarts
+        from the point it reaches, so the rest is kept for the next one."""
+        delta = pose.position - held.position
+        moved = delta.horizontal_norm()
+        reach = self.cfg.max_speed * (pose.timestamp - held.timestamp)
+        if moved > reach:
+            pose = self._held = replace(pose, position=held.position + delta * (reach / moved))
+        self._prev = pose
+        return assess(held, pose, self._base, replace(self.cfg, deadband=0.0))
 
     def _send(self, cmd: IssueCommand) -> None:
         msg = CommandMsg(cmd.target, cmd.yaw, cmd.speed, self._next_cmd_seq)

@@ -5,8 +5,9 @@ Topic -> schema binding is closed: ``tagteam/pose`` carries PoseMsg,
 ``kind`` field), ``tagteam/detections`` carries DetectionMsg and
 ``tagteam/cues`` carries CueMsg. The table ``_WIRE`` below is the one
 source of each message's wire keys, their order, their wire types and
-each field's constraint; one rendering walk, one decoder and one check
-read it. docs/protocol.md describes what the fields mean.
+each field's constraint. The decoder and the check walk it; on first use
+it is compiled into each object's encoder and each message type's
+constructor and its test. docs/protocol.md describes what the fields mean.
 
 Encoding is canonical: fixed key order, floats rendered with 9
 significant digits, no whitespace, and an int or float subclass written
@@ -20,7 +21,9 @@ Every constructor runs the check, so every message can be encoded: a
 field takes only values of a type the encoder writes (for a float, a
 non-bool int or a float) that its constraint admits, and a field that
 holds an object only that object's class; else ValidationError names the
-field. Angle fields are re-normalized on construction.
+field. Angle fields are re-normalized on construction. The compiled test
+passes only what the check passes; on any other values the check decides
+and words the error.
 
 Decoding is strict: unknown topics raise RoutingError, and a missing or
 extra field raises ValidationError naming the field, as does a payload
@@ -30,23 +33,22 @@ types and ranges to the same check, run on each object's values before
 they are built into it (so a pose is checked before ``Pose`` normalizes
 its yaw, and only then). It never fabricates defaults.
 
-:func:`encode_message` is the one walk over the table: in one pass it
-gives a message's payload and the message that decoding the payload
-gives, each float formatted once, its text in the JSON and the float it
-reads back as (see :func:`wire_float`) in the decoder's build. It keeps
-the pair as its topic's last payload, as :func:`decode_message` keeps
-each payload it parses, and :func:`decode_message` returns the kept
-message for an equal payload without parsing it; docs/protocol.md says
-why that is exact.
+:func:`encode_message` runs its type's compiled encoder, which gives in
+one pass a message's payload and the message that decoding it gives (see
+:func:`wire_float`), and keeps the pair as its topic's last payload, as
+:func:`decode_message` keeps each payload it parses. :func:`decode_message`
+returns the kept message for an equal payload without parsing it;
+docs/protocol.md says why that is exact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring, encode_basestring_ascii
 
 from wingman.geometry import FrameId, Pose, Vec3, wrap_angle, wrap_azimuth
@@ -114,12 +116,15 @@ def canonical_json(value) -> str:
 
 
 def _check(msg) -> None:
-    """The constructor check of every message: the one check ``_WIRE`` drives."""
+    """The constructor check of every message: ``_WIRE``'s compiled test,
+    and where it fails, its walk, which decides and words the error."""
     wire = _WIRE[type(msg)]
-    wire.check(wire.values(msg), nested=True)
+    values = wire.values(msg)
+    if not wire.admits(*values):
+        wire.check(values, nested=True)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class PoseMsg:
     """Wearable pose sample; sequence is strictly increasing per source."""
 
@@ -130,7 +135,7 @@ class PoseMsg:
     __post_init__ = _check
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class CommandMsg:
     """Absolute drone-frame position target plus commanded speed and yaw."""
 
@@ -142,7 +147,7 @@ class CommandMsg:
     __post_init__ = _check
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class DetachMsg:
     """Order to leave the human, visit waypoints and boomerang back.
 
@@ -158,7 +163,7 @@ class DetachMsg:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class DetectionMsg:
     """World-frame object sighting reported by the drone's detector."""
 
@@ -171,7 +176,7 @@ class DetectionMsg:
     __post_init__ = _check
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class CueMsg:
     """Human-relative polar rendering of a detection, with blind-spot flag."""
 
@@ -223,6 +228,8 @@ class _Object:
     them as the decoder reads them, and normalizes what the constructor
     normalizes, but runs no check: ``decode`` checks the values before,
     and ``render`` builds from values that keep the check's verdict.
+    ``check`` and ``decode`` walk the table; ``render`` and ``admits`` are
+    compiled from it on first use.
     """
 
     head = "{"
@@ -230,7 +237,6 @@ class _Object:
     def __init__(self, cls: type, fields: tuple[tuple[str, object, _Rule], ...], values, build) -> None:
         self.cls, self.fields, self.values, self.build = cls, fields, values, build
         self.keys = {key for key, _, _ in fields}
-        self._passes = tuple((json.dumps(key) + ":", _passer(kind)) for key, kind, _ in fields)
 
     def check(self, values, path: str = "", nested: bool = False) -> None:
         """Raise ValidationError naming the first value the encoder cannot
@@ -273,41 +279,66 @@ class _Object:
             missing = [key for key, _, _ in self.fields if key not in doc]
             raise ValidationError(f"{missing[0]}: missing" if missing
                                   else f"{min(doc.keys() - self.keys)}: unexpected field")
-        values = []
-        for key, kind, _ in self.fields:
-            value = doc[key]
-            values.append(value if type(value) is kind else _convert(f"{path}{key}", kind, value))
+        values = [value if type(value := doc[key]) is kind else _convert(f"{path}{key}", kind, value)
+                  for key, kind, _ in self.fields]
         self.check(values, path)
         return self.build(*values)
 
-    def render(self, obj) -> tuple[str, list]:
-        """The JSON text of ``obj``, which passed the check, and the values,
-        in key order, that decoding that text gives ``build``, from one
-        rendering of each value: a float's text goes into the JSON and is
-        read back as the decoder reads it; see :func:`wire_float` for why
-        the check need not run again. A nested object's value is built."""
-        parts, values = [], []
-        for (key, render_field), value in zip(self._passes, self.values(obj)):
+    @cached_property
+    def render(self):
+        """``render(obj)``: the JSON text of ``obj``, which passed the check,
+        and the object that decoding that text gives, ``build`` fed from
+        one rendering of each value: a plain float's text is read back as
+        the decoder reads it (see :func:`wire_float` for why the check need
+        not run again); a value of another type goes through :func:`_passer`."""
+        names = ", ".join(f"v{i}" for i in range(len(self.fields)))
+        body, template = [f"{names}, = values(obj)"], self.head.translate(_BRACED)
+        scope = {"values": self.values, "build": self.build, "encode_basestring": encode_basestring}
+        for i, (key, kind, _) in enumerate(self.fields):
+            v, t = f"v{i}", f"t{i}"
+            scope[f"p{i}"] = _passer(kind)
             # the check lets a plain float only into a float field and a plain
-            # str only into a string field: their passes inlined, a call less
-            cls = type(value)
-            if cls is float:
-                text = format(value, ".9g")
-                value = float(text) + 0.0
-            elif cls is str:
-                text = encode_basestring(value)
+            # str only into a string field: the values a run sends, inlined
+            if kind is float:
+                body += [f"if type({v}) is float:", f"    {t} = format({v}, '.9g')", f"    {v} = float({t}) + 0.0"]
+            elif kind is str:
+                body += [f"if type({v}) is str:", f"    {t} = encode_basestring({v})"]
+            body += ["else:", f"    {t}, {v} = p{i}({v})"] if kind is float or kind is str else [f"{t}, {v} = p{i}({v})"]
+            template += ("," if i else "") + json.dumps(key).translate(_BRACED) + ":{" + t + "}"
+        body.append(f"return f{template + '}}'!r}, build({names})")
+        return _compile(self.cls, "render", "obj", body, scope)
+
+    @cached_property
+    def admits(self):
+        """``admits(*values)``: whether each value has exactly its field's
+        wire type (a nested object its class, its own values admitted too)
+        and its rule admits it. True means the check passes; False leaves
+        the check to decide, and to word the error."""
+        tests, scope = [], {}
+        for i, (_, kind, rule) in enumerate(self.fields):
+            v = f"v{i}"
+            if isinstance(kind, list):
+                scope.update({f"c{i}": kind[0].cls, f"a{i}": kind[0].admits, f"n{i}": kind[0].values})
+                tests.append(f"type({v}) in (list, tuple) and all([type(e) is c{i} and a{i}(*n{i}(e)) for e in {v}])")
+            elif isinstance(kind, _Object):
+                scope.update({f"c{i}": kind.cls, f"a{i}": kind.admits, f"n{i}": kind.values})
+                tests.append(f"type({v}) is c{i} and a{i}(*n{i}({v}))")
             else:
-                text, value = render_field(value)
-            parts.append(key + text)
-            values.append(value)
-        return self.head + ",".join(parts) + "}", values
+                scope[f"c{i}"] = kind
+                tests.append(f"type({v}) is c{i}")
+            if rule is not _ANY:
+                scope[f"r{i}"] = rule.admits
+                tests[-1] += f" and r{i}({v})"
+        names = ", ".join(f"v{i}" for i in range(len(self.fields)))
+        return _compile(self.cls, "admits", names, ["return (" + "\n        and ".join(tests) + ")"], scope)
 
 
 class _Message(_Object):
     """The top-level object of one message type, published on ``topic``.
 
     It opens with the version and, on ``tagteam/cmd`` only, with the
-    ``kind`` discriminator.
+    ``kind`` discriminator. The constructor of ``cls`` is ``init``, made
+    on the first construction.
     """
 
     def __init__(self, cls: type, topic: str, kind: str | None, fields, values, build) -> None:
@@ -315,18 +346,39 @@ class _Message(_Object):
         self.topic, self.kind = topic, kind
         self.head = f'{{"v":{MESSAGE_VERSION},' + (f'"kind":{json.dumps(kind)},' if kind else "")
 
+        def init_on_first_call(obj, *args, **kwargs):
+            cls.__init__ = self.init
+            self.init(obj, *args, **kwargs)
+
+        cls.__init__ = init_on_first_call
+
+    @cached_property
+    def init(self):
+        """The constructor of ``cls``: it stores the fields in the instance
+        dict, then calls ``__post_init__``, looked up on each call."""
+        names = [field.name for field in dataclasses.fields(self.cls)]
+        body = ["fields = self.__dict__", *(f"fields[{name!r}] = {name}" for name in names), "self.__post_init__()"]
+        return _compile(self.cls, "__init__", ", ".join(["self", *names]), body, {})
+
+
+# Maps text to the literal text of an f-string: braces doubled.
+_BRACED = str.maketrans({"{": "{{", "}": "}}"})
+
+
+def _compile(cls: type, name: str, params: str, body: list[str], scope: dict):
+    """The function ``name(params)`` of the source lines ``body``; every
+    value they use but keys and indices comes in through ``scope``."""
+    source = f"def {name}({params}):\n" + "\n".join("    " + line for line in body)
+    exec(compile(source, f"<{name} of {cls.__name__}>", "exec"), scope)
+    return scope[name]
+
 
 def _passer(kind):
     """The map from a checked value of wire type ``kind`` to its text and
-    the value the decoder reads back from that text: a number field's
-    through :func:`wire_float`, and ``str``, ``int`` and ``bool`` the plain
-    value of a subclass, which is what JSON carries. ``render`` inlines
-    the passes of a plain float and a plain str, the values a run sends."""
+    the value the decoder reads back from that text: a number's through
+    :func:`wire_float`, and of a str, int or bool subclass its plain value."""
     if isinstance(kind, _Object):
-        def render_object(obj):
-            text, values = kind.render(obj)
-            return text, kind.build(*values)
-        return render_object
+        return kind.render
     if isinstance(kind, list):
         render_entry = _passer(kind[0])
         def render_list(entries):
@@ -338,9 +390,8 @@ def _passer(kind):
 
 
 def _convert(name: str, kind, value):
-    """``value`` of the field ``name`` as wire type ``kind`` when its JSON
-    type is not ``kind``: only nesting and an int in a float field; the
-    check judges the rest."""
+    """``value`` of the field ``name`` as wire type ``kind`` when its JSON type
+    is not ``kind``: only nesting and an int in a float field; the check judges the rest."""
     if kind is float and type(value) is int:
         try:
             return float(value)
@@ -358,8 +409,7 @@ def _convert(name: str, kind, value):
 
 
 def _new(cls: type, /, **fields):
-    """A ``cls`` dataclass object holding ``fields``, made without its
-    constructor's check or normalization."""
+    """A ``cls`` dataclass object holding ``fields``, made without its constructor."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -390,8 +440,7 @@ _POSE = _Object(
     ),
 )
 
-# The one statement of each message's wire keys, their order, their wire
-# types and their constraints.
+# The one statement of each message's wire keys, order, wire types and constraints.
 _WIRE: dict[type, _Message] = {wire.cls: wire for wire in (
     _Message(
         PoseMsg, TOPIC_POSE, None,
@@ -451,9 +500,9 @@ def encode_message(msg: Message) -> bytes:
     wire = _WIRE.get(type(msg))
     if wire is None:
         raise ValidationError(f"unknown message type {type(msg).__name__}")
-    text, values = wire.render(msg)
+    text, built = wire.render(msg)
     payload = text.encode("utf-8")
-    _LAST[wire.topic] = (payload, wire.build(*values))
+    _LAST[wire.topic] = (payload, built)
     return payload
 
 

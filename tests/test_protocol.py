@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -667,3 +669,167 @@ def test_wire_float_is_what_a_float_field_decodes_to():
     assert wire_float(0.99999999951) == 1.0
     assert wire_float(10**12 + 1) == 1000000000001.0  # an int is written in full
     assert 0.0 < wire_float(5e-324) and wire_float(sys.float_info.max) < math.inf
+
+
+class Name(str):
+    """A str subclass; the encoder writes it as the str it is."""
+
+
+class Real(float):
+    """A float subclass; the encoder writes it as the float it is."""
+
+
+# values of each wire type, mostly ones a rule may admit (edges included),
+# else ones its rule refuses or of other types; the constructor must agree
+# with the check on each
+NUMBERS = ([*EDGE_FLOATS, Real(0.25), Real(-0.0)],
+           [math.nan, math.inf, -math.inf, 10**400, -(10**400), -1e-300, np.float32(0.5), True, False, None, "1.0"])
+TEXTS = (["w", "caf\u00e9 \"q\"", Name("n")], ["", Name(""), None, 5, 1.0, True, b"w"])
+SEQUENCE_VALUES = ([0, 7, 2**64 - 1, Count(5)], [2**64, -1, True, 5.0, None, "5", np.int64(5)])
+FLAGS = ([True, False], [0, 1, None, "true", np.bool_(True)])
+
+
+def pick(rng, values):
+    good, bad = values
+    return rng.choice(good if rng.random() < 0.85 else bad)
+
+
+def any_vec3(rng):
+    if rng.random() < 0.05:
+        return rng.choice([(1.0, 2.0, 3.0), None, Pose(Vec3(), 0.0, FrameId.WEARABLE, 0.0)])
+    return Vec3(*(pick(rng, NUMBERS) for _ in range(3)))
+
+
+def any_pose(rng):
+    if rng.random() < 0.05:
+        return rng.choice(["pose", None, Vec3()])
+    pose = pose_holding(*(pick(rng, NUMBERS) for _ in range(5)))
+    object.__setattr__(pose, "frame", pick(rng, ([FrameId.WEARABLE], [FrameId.DRONE, "wearable"])))
+    return pose
+
+
+def any_waypoints(rng):
+    if rng.random() < 0.05:
+        return rng.choice([5, None, "abc", [(1.0, 2.0, 3.0)]])
+    points = [any_vec3(rng) for _ in range(rng.randint(0, 3))]
+    return tuple(points) if rng.random() < 0.5 else points
+
+
+# each message type's constructor keywords, each with a draw of its value
+ANY_FIELDS = {
+    PoseMsg: {"source_id": lambda rng: pick(rng, TEXTS), "pose": any_pose,
+              "sequence": lambda rng: pick(rng, SEQUENCE_VALUES)},
+    CommandMsg: {"target": any_vec3, "yaw": lambda rng: pick(rng, NUMBERS), "speed": lambda rng: pick(rng, NUMBERS),
+                 "sequence": lambda rng: pick(rng, SEQUENCE_VALUES)},
+    DetachMsg: {"waypoints": any_waypoints, "sequence": lambda rng: pick(rng, SEQUENCE_VALUES)},
+    DetectionMsg: {"object_id": lambda rng: pick(rng, TEXTS), "label": lambda rng: pick(rng, TEXTS),
+                   "position": any_vec3, "confidence": lambda rng: pick(rng, NUMBERS),
+                   "timestamp": lambda rng: pick(rng, NUMBERS)},
+    CueMsg: {"object_id": lambda rng: pick(rng, TEXTS), "label": lambda rng: pick(rng, TEXTS),
+             "distance": lambda rng: pick(rng, NUMBERS), "azimuth": lambda rng: pick(rng, NUMBERS),
+             "blind_spot": lambda rng: pick(rng, FLAGS), "timestamp": lambda rng: pick(rng, NUMBERS)},
+}
+
+
+def walk_verdict(cls, fields):
+    """The error text of the table walk over ``fields`` of a ``cls``, or None."""
+    wire = protocol._WIRE[cls]
+    try:
+        wire.check(wire.values(protocol._new(cls, **fields)), nested=True)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cls", list(ANY_FIELDS), ids=lambda cls: cls.__name__)
+def test_the_constructor_refuses_exactly_what_the_walk_refuses(cls):
+    rng = random.Random(27)
+    verdicts = []
+    for _ in range(1500):
+        fields = {name: draw(rng) for name, draw in ANY_FIELDS[cls].items()}
+        expected = walk_verdict(cls, fields)
+        try:
+            cls(**fields)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected, fields
+        verdicts.append(got)
+    # the draws reach both answers, and errors naming fields of every keyword
+    assert verdicts.count(None) > 20
+    assert len({verdict.split(":")[0] for verdict in verdicts if verdict}) >= len(ANY_FIELDS[cls])
+
+
+@dataclasses.dataclass(frozen=True)
+class Gadget:
+    """A made-up message with one field of each wire type."""
+
+    name: str
+    count: int
+    weight: float
+    armed: bool
+    where: Vec3
+    path: tuple
+
+    __post_init__ = protocol._check
+
+
+def gadget_wire():
+    """A wire table entry for ``Gadget``, its keys ones that JSON or an
+    f-string must escape."""
+    point = protocol._Object(Vec3, protocol._XYZ, Vec3.as_tuple, Vec3)
+    return protocol._Message(
+        Gadget, "test/gadget", None,
+        (('na"me', str, protocol._NON_EMPTY), ("co\\unt", int, protocol._UINT64), ("{weight}", float, protocol._FINITE),
+         ("arm\u00e9d", bool, protocol._ANY), ("wh'ere", point, protocol._ANY), ("path}", [point], protocol._NON_EMPTY)),
+        lambda g: (g.name, g.count, g.weight, g.armed, g.where, g.path),
+        lambda name, count, weight, armed, where, path: protocol._new(
+            Gadget, name=name, count=count, weight=weight, armed=armed, where=where, path=tuple(path)),
+    )
+
+
+def test_the_generator_compiles_any_table_entry(monkeypatch):
+    wire = gadget_wire()
+    monkeypatch.setitem(protocol._WIRE, Gadget, wire)
+    monkeypatch.setitem(protocol._BY_TOPIC, "test/gadget", wire)
+    monkeypatch.setattr(protocol, "_LAST", {})
+    rng = random.Random(33)
+    built = 0
+    while built < 300:
+        try:
+            gadget = Gadget(rng.choice(["g", "caf\u00e9 \"{q}\" \\", Name("n")]), rng.choice([0, Count(3), 2**64 - 1]),
+                            draw_float(rng), rng.random() < 0.5, draw_vec3(rng),
+                            [draw_vec3(rng) for _ in range(rng.randint(1, 3))])
+        except ValidationError:
+            continue
+        built += 1
+        payload = encode_message(gadget)
+        assert payload == canonical_json({
+            "v": 1, 'na"me': gadget.name, "co\\unt": gadget.count, "{weight}": gadget.weight,
+            "arm\u00e9d": gadget.armed, "wh'ere": {"x": gadget.where.x, "y": gadget.where.y, "z": gadget.where.z},
+            "path}": [{"x": p.x, "y": p.y, "z": p.z} for p in gadget.path],
+        }).encode("utf-8"), gadget
+        remembered = decode_message("test/gadget", payload)
+        decoded = parse("test/gadget", payload)
+        assert list(leaves(remembered)) == list(leaves(decoded)), gadget
+        assert remembered == decoded
+    assert Gadget.__init__ is wire.init
+    # its constructor refuses what the walk refuses, in the walk's words
+    for fields, reason in (((" ", -1, 0.5, True, Vec3(), [Vec3()]), "co\\unt: must be a uint64"),
+                           (("g", 1, math.nan, True, Vec3(), [Vec3()]), "{weight}: must be finite"),
+                           (("g", 1, 0.5, 1, Vec3(), [Vec3()]), "arm\u00e9d: expected a boolean, got int"),
+                           (("g", 1, 0.5, True, Vec3(0, math.inf, 0), [Vec3()]), "wh'ere.y: must be finite"),
+                           (("g", 1, 0.5, True, Vec3(), [Vec3(), "p"]), "path}[1]: expected a Vec3, got str"),
+                           (("", 1, 0.5, True, Vec3(), ()), 'na"me: must be non-empty')):
+        with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+            Gadget(*fields)
+
+
+def test_importing_wingman_compiles_no_wire_function():
+    code = ("import wingman, wingman.cli, wingman.protocol as p\n"
+            "print(sorted((w.cls.__name__, name) for w in [*p._WIRE.values(), p._POSE]"
+            " for name in ('render', 'admits', 'init') if name in vars(w)))")
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
