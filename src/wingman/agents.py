@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from wingman.geometry import FrameId, Pose, Vec3, relative_polar, wrap_angle
+from wingman.geometry import FrameId, Pose, Vec3, wrap_angle, wrap_azimuth
 from wingman.protocol import (
     TOPIC_CMD,
     CommandMsg,
@@ -331,46 +331,48 @@ def detect_objects(
     and a uniform draw passes p_detect. Reported positions carry optional
     isotropic Gaussian noise; the confidence value is synthetic (the
     passing draw mapped onto [0.5, 1.0]), not a physical detector score.
+
+    One pass scans the objects: the pre-gate's offsets feed the exact
+    gate, which does the float operations of :func:`relative_polar` on
+    them, so a horizontally coincident object lies at azimuth 0.0. The
+    positions need no finite check: ``WorldObject`` made it.
     """
     # The pre-gate keeps every object the exact gate keeps, in world order,
     # so the rng draws are exactly those of the exact gate alone.
-    half_fov = params.fov / 2
-    max_d2 = params.range_m * params.range_m * (1.0 + _RANGE_MARGIN) + _TINY_D2
+    half_fov, range_m, p_detect, sigma = params.fov / 2, params.range_m, params.p_detect, params.pos_noise_sigma
+    if p_detect <= 0.0:
+        return []  # no object passes the draw, and none is drawn for
+    max_d2 = range_m * range_m * (1.0 + _RANGE_MARGIN) + _TINY_D2
     if half_fov + _CONE_MARGIN < math.pi:
         min_cos = math.cos(half_fov + _CONE_MARGIN)
     else:
         min_cos = -math.inf  # the cone holds every direction: the test below never skips
-    ox, oz = drone_world.position.x, drone_world.position.z
-    fx, fz = math.cos(drone_world.yaw), math.sin(drone_world.yaw)
+    ox, oz, yaw, timestamp = drone_world.position.x, drone_world.position.z, drone_world.yaw, drone_world.timestamp
+    fx, fz = math.cos(yaw), math.sin(yaw)
+    hypot, atan2, sqrt, uniform, gauss = math.hypot, math.atan2, math.sqrt, rng.random, rng.gauss
     detections: list[DetectionMsg] = []
     for obj in world:
-        dx = obj.position.x - ox
-        dz = obj.position.z - oz
+        position = obj.position
+        dx = position.x - ox
+        dz = position.z - oz
         d2 = dx * dx + dz * dz
         if d2 > max_d2:
             continue
-        if _TINY_D2 < d2 < _HUGE_D2 and dx * fx + dz * fz < min_cos * math.sqrt(d2):
+        if _TINY_D2 < d2 < _HUGE_D2 and dx * fx + dz * fz < min_cos * sqrt(d2):
             continue
-        distance, azimuth = relative_polar(drone_world, obj.position)
-        if distance > params.range_m:
+        if hypot(dx, dz) > range_m:
             continue
-        if abs(azimuth) > half_fov:
+        if (dx != 0.0 or dz != 0.0) and abs(wrap_azimuth(atan2(dz, dx) - yaw)) > half_fov:
             continue
-        if params.p_detect <= 0.0:
+        draw = uniform()
+        if draw >= p_detect:
             continue
-        draw = rng.random()
-        if draw >= params.p_detect:
-            continue
-        position = obj.position
-        if params.pos_noise_sigma > 0.0:
+        if sigma > 0.0:
             position = Vec3(
-                position.x + rng.gauss(0.0, params.pos_noise_sigma),
-                position.y + rng.gauss(0.0, params.pos_noise_sigma),
-                position.z + rng.gauss(0.0, params.pos_noise_sigma),
+                position.x + gauss(0.0, sigma), position.y + gauss(0.0, sigma), position.z + gauss(0.0, sigma)
             )
-        confidence = 0.5 + 0.5 * (draw / params.p_detect)
         detections.append(
-            DetectionMsg(obj.object_id, obj.label, position, confidence, drone_world.timestamp)
+            DetectionMsg(obj.object_id, obj.label, position, 0.5 + 0.5 * (draw / p_detect), timestamp)
         )
     return detections
 

@@ -74,7 +74,10 @@ class CueEngine:
     Wearable poses are shifted into the world frame by the configured
     human start offset so they can be compared against world-frame
     detections. At most one cue per object id is emitted per window, and a
-    cue message is built only for a cue that is emitted.
+    cue message is built only for a cue that is emitted. The range test
+    needs only the horizontal distance, the ``math.hypot`` of the offsets
+    that :func:`relative_polar` takes; the azimuth, and the finite check,
+    are left to :func:`make_cue`, which runs for emitted cues alone.
     """
 
     def __init__(
@@ -118,8 +121,8 @@ class CueEngine:
             human = self._human
             if human is None:
                 return  # cannot localize the object relative to an unknown human
-            distance, _ = relative_polar(human, detection.position)
-            if not self.model.in_range(distance):
+            position = detection.position
+            if not self.model.in_range(math.hypot(position.x - human.position.x, position.z - human.position.z)):
                 return
             last = self._last_emit.get(detection.object_id)
             if last is not None and detection.timestamp - last < DEDUP_WINDOW - 1e-9:

@@ -80,12 +80,14 @@ def _require_finite(v: Vec3, op: str) -> None:
         raise ValueError(f"{op}: non-finite vector ({v.x}, {v.y}, {v.z})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pose:
     """Position plus heading in a tagged frame at a timestamp.
 
     Yaw is normalized to [-pi, pi) on construction. Timestamps are
-    simulation-clock seconds and must be finite and non-negative.
+    simulation-clock seconds and must be finite and non-negative. The
+    constructor checks its inputs, then stores each field once, the yaw
+    through :func:`wrap_angle`.
     """
 
     position: Vec3
@@ -93,13 +95,16 @@ class Pose:
     frame: FrameId
     timestamp: float
 
-    def __post_init__(self) -> None:
-        _require_finite(self.position, "Pose")
-        if not math.isfinite(self.yaw):
+    def __init__(self, position: Vec3, yaw: float, frame: FrameId, timestamp: float) -> None:
+        _require_finite(position, "Pose")
+        if not math.isfinite(yaw):
             raise ValueError("Pose: non-finite yaw")
-        if not math.isfinite(self.timestamp) or self.timestamp < 0.0:
-            raise ValueError(f"Pose: bad timestamp {self.timestamp}")
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+        if not math.isfinite(timestamp) or timestamp < 0.0:
+            raise ValueError(f"Pose: bad timestamp {timestamp}")
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "yaw", wrap_angle(yaw))
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "timestamp", timestamp)
 
 
 def wearable_delta_to_drone_delta(delta: Vec3) -> Vec3:

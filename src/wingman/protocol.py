@@ -227,7 +227,9 @@ class _Object:
     ``cls`` object to its values in key order; ``build`` makes one from
     them as the decoder reads them, and normalizes what the constructor
     normalizes, but runs no check: ``decode`` checks the values before,
-    and ``render`` builds from values that keep the check's verdict.
+    and ``render`` builds from values that keep the check's verdict. A
+    message's ``build`` writes its fields into the instance dict, through
+    :func:`_new` or, for a DetectionMsg, straight-line (:func:`_detection`).
     ``check`` and ``decode`` walk the table; ``render`` and ``admits`` are
     compiled from it on first use.
     """
@@ -415,6 +417,19 @@ def _new(cls: type, /, **fields):
     return obj
 
 
+def _detection(object_id, label, x, y, z, confidence, timestamp) -> DetectionMsg:
+    """The ``build`` of a DetectionMsg, the message a run builds most: as
+    ``_new``, made without its constructor, but with no keywords."""
+    position = object.__new__(Vec3)
+    fields = position.__dict__
+    fields["x"], fields["y"], fields["z"] = x, y, z
+    msg = object.__new__(DetectionMsg)
+    fields = msg.__dict__
+    fields["object_id"], fields["label"], fields["position"] = object_id, label, position
+    fields["confidence"], fields["timestamp"] = confidence, timestamp
+    return msg
+
+
 def _xyz(holder, name: str) -> tuple:
     """The x, y and z a message writes among its own keys for the Vec3 in
     its field ``name``; ValidationError if that field holds no Vec3."""
@@ -467,10 +482,7 @@ _WIRE: dict[type, _Message] = {wire.cls: wire for wire in (
         (("object_id", str, _NON_EMPTY), ("label", str, _ANY), *_XYZ,
          ("confidence", float, _UNIT), ("timestamp", float, _NON_NEGATIVE)),
         lambda m: (m.object_id, m.label, *_xyz(m.position, "position"), m.confidence, m.timestamp),
-        lambda object_id, label, x, y, z, confidence, timestamp: _new(
-            DetectionMsg, object_id=object_id, label=label, position=_new(Vec3, x=x, y=y, z=z),
-            confidence=confidence, timestamp=timestamp,
-        ),
+        _detection,
     ),
     _Message(
         CueMsg, TOPIC_CUES, None,

@@ -172,7 +172,13 @@ class Broker:
 
     def _handle(self, conn: Connection, packet: Packet) -> None:
         client_id = self._client_ids[conn]
-        if isinstance(packet, Connect):
+        if type(packet) is Publish and client_id is not None:  # the packet a session sends most
+            if self.on_publish is not None:
+                self.on_publish(packet.topic, packet.payload)
+            for target in broker_dispatch(self.state, packet):
+                if target in self._client_ids:  # a callback may drop a later subscriber
+                    target.send(packet)
+        elif isinstance(packet, Connect):
             if client_id is not None:
                 raise ProtocolError("second CONNECT on one connection")
             old = self.state.sessions.get(packet.client_id)
@@ -181,18 +187,11 @@ class Broker:
             self._client_ids[conn] = packet.client_id
             self.state.add_session(packet.client_id, conn)
             conn.send(ConnAck())
-            return
-        if client_id is None:
+        elif client_id is None:
             raise ProtocolError("first packet must be CONNECT")
-        if isinstance(packet, Subscribe):
+        elif isinstance(packet, Subscribe):
             self.state.add_subscription(client_id, packet.filter)
             conn.send(SubAck(packet.packet_id))
-        elif isinstance(packet, Publish):
-            if self.on_publish is not None:
-                self.on_publish(packet.topic, packet.payload)
-            for target in broker_dispatch(self.state, packet):
-                if target in self._client_ids:  # a callback may drop a later subscriber
-                    target.send(packet)
         elif isinstance(packet, PingReq):
             conn.send(PingResp())
         elif isinstance(packet, Disconnect):

@@ -107,21 +107,24 @@ class ConnAck:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Publish:
     topic: str
     payload: bytes = b""
     # the canonical frame this packet was decoded from; not part of its value
     frame: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _topic_prefix(self.topic)  # validates a topic once and caches its prefix
-        if not isinstance(self.payload, (bytes, bytearray)):
-            raise PacketError("payload: must be bytes")
-        if len(self.payload) > MAX_PAYLOAD:
-            raise PacketError(f"payload: {len(self.payload)} bytes exceeds cap {MAX_PAYLOAD}")
-        if type(self.payload) is not bytes:
-            object.__setattr__(self, "payload", bytes(self.payload))
+    def __init__(self, topic: str, payload: bytes = b"") -> None:
+        _topic_prefix(topic)  # validates a topic once and caches its prefix
+        if type(payload) is not bytes:
+            if not isinstance(payload, (bytes, bytearray)):
+                raise PacketError("payload: must be bytes")
+            payload = bytes(payload)
+        if len(payload) > MAX_PAYLOAD:
+            raise PacketError(f"payload: {len(payload)} bytes exceeds cap {MAX_PAYLOAD}")
+        object.__setattr__(self, "topic", topic)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "frame", None)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import string
@@ -90,6 +91,19 @@ def pose_msg_bytes(
 ) -> bytes:
     msg = PoseMsg(source, Pose(Vec3(x, 0.0, z), yaw, FrameId.WEARABLE, t), sequence)
     return encode_message(msg)
+
+
+def construction(make, *args, **kwargs):
+    """What ``make(*args, **kwargs)`` gives, as two constructors that behave
+    alike give the same: the exception's type and text, or each field's
+    type and repr (so a float bit for bit, but for a NaN's payload), the
+    object's repr after its class name, and its hash."""
+    try:
+        obj = make(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    fields = [(type(value), repr(value)) for value in (getattr(obj, f.name) for f in dataclasses.fields(obj))]
+    return fields, repr(obj).partition("(")[2], hash(obj)
 
 
 def wait_until(predicate, timeout: float = 5.0, interval: float = 0.01) -> bool:

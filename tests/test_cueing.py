@@ -1,11 +1,12 @@
 import math
 import random
+import sys
 
 import pytest
 
 from conftest import rotate_y
-from wingman.cueing import AttentionModel, CueEngine, make_cue
-from wingman.geometry import FrameId, Pose, Vec3
+from wingman.cueing import DEDUP_WINDOW, AttentionModel, CueEngine, make_cue
+from wingman.geometry import FrameId, Pose, Vec3, relative_polar
 from wingman.protocol import (
     TOPIC_CUES,
     TOPIC_DETECTIONS,
@@ -216,3 +217,76 @@ def test_engine_builds_one_cue_message_per_emitted_cue(monkeypatch):
         engine.on_message(TOPIC_DETECTIONS, payload)
     assert (engine.cue_count, engine.dedup_count) == (4, 20)
     assert built == ["o1", "o2", "o1", "o2"] and len(published) == engine.cue_count
+
+
+class ReferenceCueEngine:
+    """The cue engine with its range test on :func:`relative_polar`, the
+    reference for the engine's distance-only test."""
+
+    def __init__(self, model, human_start):
+        self.model, self.human_start = model, human_start
+        self.cue_count = self.dedup_count = 0
+        self.published = []
+        self._human = None
+        self._last_emit = {}
+
+    def on_message(self, topic, payload):
+        msg = decode_message(topic, payload)
+        if isinstance(msg, PoseMsg):
+            pose = msg.pose
+            self._human = Pose(pose.position + self.human_start, pose.yaw, FrameId.WORLD, pose.timestamp)
+            return
+        if self._human is None:
+            return
+        distance, azimuth = relative_polar(self._human, msg.position)
+        if not distance <= self.model.cue_range:
+            return
+        last = self._last_emit.get(msg.object_id)
+        if last is not None and msg.timestamp - last < DEDUP_WINDOW - 1e-9:
+            self.dedup_count += 1
+            return
+        self._last_emit[msg.object_id] = msg.timestamp
+        self.cue_count += 1
+        blind_spot = distance != 0.0 and abs(azimuth) > self.model.human_fov / 2
+        cue = CueMsg(msg.object_id, msg.label, distance, azimuth, blind_spot, msg.timestamp)
+        self.published.append(encode_message(cue))
+
+
+ULP_BELOW, ULP_ABOVE = math.nextafter(5.0, 0.0), math.nextafter(5.0, math.inf)
+
+
+# (cue range, human start, wearable x and z, world x and z of each object)
+CUE_RANGE_CASES = [
+    # a horizontally coincident object, also seen from a moved human at (10.5, -2.75)
+    (5.0, Vec3(), (1.5, -2.0), [(1.5, -2.0)]),
+    (5.0, Vec3(10.0, 0.0, -3.0), (0.5, 0.25), [(10.5, -2.75), (15.5, -2.75), (10.5, -7.75), (13.5, 1.25)]),
+    # distances of exactly the cue range, with the range one ulp either side of them
+    *((cue_range, Vec3(10.0, 0.0, -3.0), (0.5, 0.25), [(15.5, -2.75), (10.5, 2.25), (7.5, -6.75), (15.49, -2.75)])
+      for cue_range in (5.0, ULP_BELOW, ULP_ABOVE)),
+    # a distance one ulp either side of the cue range, carried by the human start
+    *((5.0, Vec3(-distance, 0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)]) for distance in (5.0, ULP_BELOW, ULP_ABOVE)),
+    *((5.0, Vec3(0.0, 0.0, distance), (0.0, 0.0), [(0.0, 0.0)]) for distance in (5.0, ULP_BELOW, ULP_ABOVE)),
+    # subnormal offsets, whose squares underflow to 0
+    (1e-310, Vec3(), (0.0, 0.0), [(1e-310, 0.0), (2e-310, 0.0), (0.0, -1e-310), (5e-324, 5e-324), (1e-310, 1e-310)]),
+    (5.0, Vec3(), (0.0, 0.0), [(1e-310, -2e-310), (5e-324, 0.0)]),
+    # offsets whose squares overflow, and offsets that overflow themselves
+    (1e200, Vec3(), (0.0, 0.0), [(5e199, 0.0), (2e200, 0.0), (0.0, -1e200), (7e199, 7e199), (8e199, 8e199)]),
+    (sys.float_info.max, Vec3(), (1.5e308, 0.0), [(-1.5e308, 0.0), (-1.5e308, 1.5e308), (0.5e308, 0.0)]),
+]
+
+
+@pytest.mark.parametrize("cue_range, human_start, wearable, objects", CUE_RANGE_CASES)
+def test_engine_range_test_matches_relative_polar(cue_range, human_start, wearable, objects):
+    model = AttentionModel(human_fov=math.pi / 2, cue_range=cue_range)
+    published = []
+    engine = CueEngine(model, publish=lambda topic, payload: published.append(payload), human_start=human_start)
+    reference = ReferenceCueEngine(model, human_start)
+    messages = [(TOPIC_POSE, pose_payload(0.0, x=wearable[0], z=wearable[1], yaw=0.3))]
+    for t in (0.0, 0.5, 1.0):  # for each object in range: a cue, a withheld one and a second cue
+        messages += [(TOPIC_DETECTIONS, encode_message(detection(x, z, object_id=f"o{i}", t=t)))
+                     for i, (x, z) in enumerate(objects)]
+    for topic, payload in messages:
+        engine.on_message(topic, payload)
+        reference.on_message(topic, payload)
+    assert (engine.cue_count, engine.dedup_count) == (reference.cue_count, reference.dedup_count)
+    assert published == reference.published

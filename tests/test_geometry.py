@@ -1,13 +1,16 @@
+import dataclasses
 import math
 import random
+import struct
 
 import pytest
 
-from conftest import drone_delta_to_wearable_delta, rotate_y
+from conftest import construction, drone_delta_to_wearable_delta, rotate_y
 from wingman.geometry import (
     FrameId,
     Pose,
     Vec3,
+    _require_finite,
     relative_polar,
     wearable_delta_to_drone_delta,
     wrap_angle,
@@ -134,3 +137,62 @@ def test_rotate_y_convention():
     v = rotate_y(Vec3(1, 0, 0), math.pi / 2)
     assert v.x == pytest.approx(0.0, abs=1e-12)
     assert v.z == pytest.approx(1.0, abs=1e-12)
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassPose:
+    """Pose with the dataclass constructor and a ``__post_init__`` check: the
+    reference for the constructor that stores each field once."""
+
+    position: Vec3
+    yaw: float
+    frame: FrameId
+    timestamp: float
+
+    def __post_init__(self) -> None:
+        _require_finite(self.position, "Pose")
+        if not math.isfinite(self.yaw):
+            raise ValueError("Pose: non-finite yaw")
+        if not math.isfinite(self.timestamp) or self.timestamp < 0.0:
+            raise ValueError(f"Pose: bad timestamp {self.timestamp}")
+        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+
+
+POSE_ARGS = [
+    (Vec3(1, 2, 3), 3 * math.pi / 2, FrameId.WEARABLE, 0.0),
+    (Vec3(), -math.pi, FrameId.WORLD, 5.0),
+    (Vec3(), math.pi, FrameId.DRONE, 1e308),
+    (Vec3(-0.0, 0.0, -0.0), -0.0, FrameId.WORLD, -0.0),
+    (Vec3(), math.nextafter(math.pi, 0.0), FrameId.WORLD, 5e-324),
+    (Vec3(), 1e300, FrameId.WEARABLE, 0.0),
+    (Vec3(1, 2, 3), 7, FrameId.WORLD, 2),
+    (Vec3(math.inf, 0.0, 0.0), 0.0, FrameId.WORLD, 0.0),
+    (Vec3(0.0, math.nan, 0.0), 0.0, FrameId.WORLD, 0.0),
+    (Vec3(0.0, 0.0, -math.inf), 0.0, FrameId.WORLD, 0.0),
+    *((Vec3(), yaw, FrameId.WORLD, 0.0) for yaw in (math.nan, math.inf, -math.inf)),
+    *((Vec3(), 0.0, FrameId.WORLD, t) for t in (-1.0, -5e-324, math.nan, math.inf)),
+    ((1.0, 2.0, 3.0), 0.0, FrameId.WORLD, 0.0),
+    (Vec3(), "0", FrameId.WORLD, 0.0),
+    (Vec3(), 0.0, FrameId.WORLD, None),
+]
+
+
+@pytest.mark.parametrize("args", POSE_ARGS)
+def test_pose_constructor_matches_the_dataclass_one(args):
+    made = construction(DataclassPose, *args)
+    assert construction(Pose, *args) == made
+    assert construction(Pose, **dict(zip(("position", "yaw", "frame", "timestamp"), args))) == made
+    if isinstance(made[0], type):
+        return
+    pose, reference = Pose(*args), DataclassPose(*args)
+    assert struct.pack("<d", pose.yaw) == struct.pack("<d", wrap_angle(args[1]))
+    assert pose == Pose(*args) and hash(pose) == hash(Pose(*args)) and pose != reference
+    for changes in ({"yaw": 4.0}, {"timestamp": 9.0}, {"position": Vec3(1, 0, 0)}, {"timestamp": -2.0}):
+        assert construction(dataclasses.replace, pose, **changes) == construction(
+            dataclasses.replace, reference, **changes
+        )
+    assert pose != dataclasses.replace(pose, yaw=pose.yaw + 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pose.yaw = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del pose.frame

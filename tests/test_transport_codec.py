@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 import sys
@@ -5,7 +6,7 @@ import threading
 
 import pytest
 
-from conftest import random_packet
+from conftest import construction, random_packet
 from wingman.transport import (
     ConnAck,
     Connect,
@@ -172,6 +173,69 @@ def test_payload_cap():
     with pytest.raises(PacketError):
         Publish("a", b"x" * (MAX_PAYLOAD + 1))
     assert Publish("a", b"x" * 100).payload == b"x" * 100
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassPublish:
+    """Publish with the dataclass constructor and a ``__post_init__`` check:
+    the reference for its plain constructor."""
+
+    topic: str
+    payload: bytes = b""
+    frame: bytes | None = dataclasses.field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        packets._topic_prefix(self.topic)
+        if not isinstance(self.payload, (bytes, bytearray)):
+            raise PacketError("payload: must be bytes")
+        if len(self.payload) > MAX_PAYLOAD:
+            raise PacketError(f"payload: {len(self.payload)} bytes exceeds cap {MAX_PAYLOAD}")
+        if type(self.payload) is not bytes:
+            object.__setattr__(self, "payload", bytes(self.payload))
+
+
+class Blob(bytes):
+    pass
+
+
+PUBLISH_ARGS = [
+    ("t",),
+    ("t", b""),
+    ("tagteam/pose", b'{"k":1}'),
+    ("a/b", bytearray(b"xy")),
+    ("a/b", Blob(b"xy")),
+    ("\u00e9/\u4e2d", b"x"),
+    ("t", b"x" * MAX_PAYLOAD),
+    ("t", bytearray(MAX_PAYLOAD)),
+    ("t", b"x" * (MAX_PAYLOAD + 1)),
+    ("t", bytearray(MAX_PAYLOAD + 1)),
+    *(("t", payload) for payload in ("text", 5, None, memoryview(b"x"), [1])),
+    *((topic, b"x") for topic in ("", "a/+", "a/#", "#", "a\x00b", 5, None, "x" * 65_536, "\u00e9" * 32_768)),
+    ("", 5),
+]
+
+
+@pytest.mark.parametrize("args", PUBLISH_ARGS)
+def test_publish_constructor_matches_the_dataclass_one(args):
+    made = construction(DataclassPublish, *args)
+    assert construction(Publish, *args) == made
+    assert construction(Publish, **dict(zip(("topic", "payload"), args))) == made
+    if isinstance(made[0], type):
+        return
+    packet, reference = Publish(*args), DataclassPublish(*args)
+    assert type(packet.payload) is bytes and packet.frame is None
+    assert packet == Publish(*args) and hash(packet) == hash(Publish(*args)) and packet != reference
+    for changes in ({"payload": bytearray(b"y")}, {"topic": "u"}, {"topic": "a/+"}, {"frame": b"f"}):
+        assert construction(dataclasses.replace, packet, **changes) == construction(
+            dataclasses.replace, reference, **changes
+        )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        packet.payload = b""
+    # a decoded packet keeps its frame, which is no part of its value
+    decoded, _ = decode_packet(encode_packet(packet))
+    assert decoded.frame == encode_packet(packet)
+    assert decoded == packet and hash(decoded) == hash(packet) and repr(decoded) == repr(packet)
+    assert dataclasses.replace(decoded, topic="u").frame is None
 
 
 def test_topic_validation():
