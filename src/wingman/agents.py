@@ -176,20 +176,34 @@ class WearableSim:
         return truth, msg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DroneState:
-    """Drone-frame kinematic state plus the command being executed."""
+    """Drone-frame kinematic state plus the command being executed.
+
+    Slotted, each field stored through its slot's setter (see ``Vec3``).
+    """
 
     pose: Pose
     command: CommandMsg | None = None
     max_speed: float = 1.0
     yaw_rate: float = math.pi
 
-    def __post_init__(self) -> None:
-        if self.max_speed <= 0:
-            raise ValueError(f"max_speed must be > 0, got {self.max_speed}")
-        if self.yaw_rate <= 0:
-            raise ValueError(f"yaw_rate must be > 0, got {self.yaw_rate}")
+    def __init__(
+        self, pose: Pose, command: CommandMsg | None = None, max_speed: float = 1.0, yaw_rate: float = math.pi
+    ) -> None:
+        if max_speed <= 0:
+            raise ValueError(f"max_speed must be > 0, got {max_speed}")
+        if yaw_rate <= 0:
+            raise ValueError(f"yaw_rate must be > 0, got {yaw_rate}")
+        _set_pose(self, pose)
+        _set_command(self, command)
+        _set_max_speed(self, max_speed)
+        _set_yaw_rate(self, yaw_rate)
+
+
+_set_pose, _set_command, _set_max_speed, _set_yaw_rate = (
+    DroneState.pose.__set__, DroneState.command.__set__, DroneState.max_speed.__set__, DroneState.yaw_rate.__set__
+)
 
 
 def drone_step(state: DroneState, dt: float) -> DroneState:

@@ -38,7 +38,9 @@ so the scores are those of a loop over the shifts, bit for bit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -169,7 +171,13 @@ def _dtw_rows(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray, list[int]
     m = len(B)
     b_cols = [B[:, k].copy() for k in range(B.shape[1])]
     limit, row_rest, col_rest = _prune_bounds(A, B)
-    col_rest = col_rest[m - 1::-1]  # column j's bound at index j
+    # a cell's bound is max(column bound, row bound); the column bounds do
+    # not increase along a row (col_view[j] is column j's), so it is the
+    # column's left of the first column whose bound is at most the row's,
+    # found by bisecting the ascending bounds, and the row's from there on
+    col_view = memoryview(col_rest[m - 1::-1].copy())
+    ascending = col_rest[:m].tolist()
+    row_rest = row_rest.tolist()
     hypot, inf = math.hypot, math.inf
     # a dropped cell is inf, and a live one is finite unless nothing drops
     drops = limit < inf
@@ -181,7 +189,9 @@ def _dtw_rows(A: np.ndarray, B: np.ndarray) -> tuple[float, bytearray, list[int]
     above, lo = [0.0, inf], 0
     for i, point in enumerate(A.tolist()):
         costs = map(hypot, *[memoryview(x - b[lo:]) for x, b in zip(point, b_cols)])
-        bounds = iter(memoryview(np.maximum(col_rest[lo:], row_rest[i + 1])))
+        r = row_rest[i + 1]
+        split = max(lo, m - bisect_right(ascending, r))
+        bounds = chain(col_view[lo:split], repeat(r, m - split))
         starts.append(len(moves) - lo)
         row = []
         keep = row.append
@@ -429,13 +439,7 @@ def _lag_samples(A: np.ndarray, B: np.ndarray) -> int:
     """
     half = len(A) // 2
     scores = _lag_scores(A, B)
-    best_shift = 0
-    best_score = math.inf
-    for s in sorted(range(-half, half + 1), key=lambda v: (abs(v), v)):
-        if scores[half + s] < best_score:
-            best_score = scores[half + s]
-            best_shift = s
-    return best_shift
+    return min(range(-half, half + 1), key=lambda s: (scores[half + s], abs(s), s))
 
 
 def sync_report(a: Trajectory, b: Trajectory) -> SyncReport:

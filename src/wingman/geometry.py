@@ -43,13 +43,24 @@ class FrameId(enum.Enum):
     WORLD = "world"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Vec3:
-    """Cartesian point or displacement, meters."""
+    """Cartesian point or displacement, meters.
+
+    The value classes a run builds on every tick are slotted: each holds
+    its fields in slots, not in an instance dict, and its constructor
+    stores each field through the slot's own setter (``Vec3.x.__set__``),
+    which a frozen class's ``__setattr__`` does not reach.
+    """
 
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
+
+    def __init__(self, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_z(self, z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -75,19 +86,22 @@ class Vec3:
         return (self.x, self.y, self.z)
 
 
+_set_x, _set_y, _set_z = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
+
+
 def _require_finite(v: Vec3, op: str) -> None:
     if not v.is_finite():
         raise ValueError(f"{op}: non-finite vector ({v.x}, {v.y}, {v.z})")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Pose:
     """Position plus heading in a tagged frame at a timestamp.
 
     Yaw is normalized to [-pi, pi) on construction. Timestamps are
     simulation-clock seconds and must be finite and non-negative. The
-    constructor checks its inputs, then stores each field once, the yaw
-    through :func:`wrap_angle`.
+    constructor checks its inputs, then stores each field once through its
+    slot's setter, the yaw through :func:`wrap_angle`.
     """
 
     position: Vec3
@@ -101,10 +115,15 @@ class Pose:
             raise ValueError("Pose: non-finite yaw")
         if not math.isfinite(timestamp) or timestamp < 0.0:
             raise ValueError(f"Pose: bad timestamp {timestamp}")
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "yaw", wrap_angle(yaw))
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "timestamp", timestamp)
+        _set_position(self, position)
+        _set_yaw(self, wrap_angle(yaw))
+        _set_frame(self, frame)
+        _set_timestamp(self, timestamp)
+
+
+_set_position, _set_yaw, _set_frame, _set_timestamp = (
+    Pose.position.__set__, Pose.yaw.__set__, Pose.frame.__set__, Pose.timestamp.__set__
+)
 
 
 def wearable_delta_to_drone_delta(delta: Vec3) -> Vec3:

@@ -229,7 +229,10 @@ class _Object:
     normalizes, but runs no check: ``decode`` checks the values before,
     and ``render`` builds from values that keep the check's verdict. A
     message's ``build`` writes its fields into the instance dict, through
-    :func:`_new` or, for a DetectionMsg, straight-line (:func:`_detection`).
+    :func:`_new` or, for a DetectionMsg, straight-line (:func:`_detection`);
+    a ``Vec3`` is a plain constructor call, and a ``Pose`` (:func:`_pose`)
+    is stored through its slots' setters, as the slotted classes have no
+    instance dict.
     ``check`` and ``decode`` walk the table; ``render`` and ``admits`` are
     compiled from it on first use.
     """
@@ -411,18 +414,37 @@ def _convert(name: str, kind, value):
 
 
 def _new(cls: type, /, **fields):
-    """A ``cls`` dataclass object holding ``fields``, made without its constructor."""
+    """A ``cls`` message holding ``fields``, made without its constructor:
+    the fields are written into its instance dict. A message class keeps
+    its dict; the ``Vec3`` and ``Pose`` it holds are slotted and have none."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
+_set_position, _set_yaw, _set_frame, _set_timestamp = (
+    Pose.position.__set__, Pose.yaw.__set__, Pose.frame.__set__, Pose.timestamp.__set__
+)
+
+
+def _pose(frame, x, y, z, yaw, timestamp) -> Pose:
+    """The ``build`` of a Pose: made without its constructor, whose checks
+    ``decode`` ran, each field stored through its slot's setter and the yaw
+    normalized as the constructor normalizes it. The frame's rule admits
+    only the wearable frame."""
+    pose = object.__new__(Pose)
+    _set_position(pose, Vec3(x, y, z))
+    _set_yaw(pose, wrap_angle(yaw))
+    _set_frame(pose, FrameId.WEARABLE)
+    _set_timestamp(pose, timestamp)
+    return pose
+
+
 def _detection(object_id, label, x, y, z, confidence, timestamp) -> DetectionMsg:
     """The ``build`` of a DetectionMsg, the message a run builds most: as
-    ``_new``, made without its constructor, but with no keywords."""
-    position = object.__new__(Vec3)
-    fields = position.__dict__
-    fields["x"], fields["y"], fields["z"] = x, y, z
+    ``_new``, made without its constructor, but with no keywords; its
+    position is a plain ``Vec3`` call, which checks nothing."""
+    position = Vec3(x, y, z)
     msg = object.__new__(DetectionMsg)
     fields = msg.__dict__
     fields["object_id"], fields["label"], fields["position"] = object_id, label, position
@@ -450,9 +472,7 @@ _POSE = _Object(
     Pose,
     (("frame", str, _WEARABLE), *_XYZ, ("yaw", float, _FINITE), ("timestamp", float, _NON_NEGATIVE)),
     lambda pose: (_frame_name(pose.frame), *pose.position.as_tuple(), pose.yaw, pose.timestamp),
-    lambda frame, x, y, z, yaw, timestamp: _new(
-        Pose, position=_new(Vec3, x=x, y=y, z=z), yaw=wrap_angle(yaw), frame=FrameId.WEARABLE, timestamp=timestamp
-    ),
+    _pose,
 )
 
 # The one statement of each message's wire keys, order, wire types and constraints.
@@ -468,7 +488,7 @@ _WIRE: dict[type, _Message] = {wire.cls: wire for wire in (
         (("sequence", int, _UINT64), *_XYZ, ("yaw", float, _FINITE), ("speed", float, _POSITIVE)),
         lambda m: (m.sequence, *_xyz(m.target, "target"), m.yaw, m.speed),
         lambda sequence, x, y, z, yaw, speed: _new(
-            CommandMsg, target=_new(Vec3, x=x, y=y, z=z), yaw=yaw, speed=speed, sequence=sequence
+            CommandMsg, target=Vec3(x, y, z), yaw=yaw, speed=speed, sequence=sequence
         ),
     ),
     _Message(

@@ -110,12 +110,26 @@ class ScenarioConfig:
             raise ConfigError(f"broker_host must be a non-empty string, got {self.broker_host!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceRow:
+    """One tick of a run; slotted, each field stored through its slot's
+    setter (see ``Vec3``)."""
+
     t: float
     human: Pose  # world frame
     drone: Pose  # world frame
     mode: str
+
+    def __init__(self, t: float, human: Pose, drone: Pose, mode: str) -> None:
+        _set_t(self, t)
+        _set_human(self, human)
+        _set_drone(self, drone)
+        _set_mode(self, mode)
+
+
+_set_t, _set_human, _set_drone, _set_mode = (
+    TraceRow.t.__set__, TraceRow.human.__set__, TraceRow.drone.__set__, TraceRow.mode.__set__
+)
 
 
 @dataclass
@@ -305,12 +319,18 @@ def write_messages_jsonl(trace: RunTrace, path: str | Path) -> None:
     may publish one) keeps its undecodable bytes as ``\\xNN`` escapes.
     """
     heads: dict[str, str] = {}  # each topic escaped once
+    # a run logs its messages in tick order, each tick's with one time
+    # object, so the time prefix is rendered once per tick; another object,
+    # even an equal one (0.0 and -0.0 are equal), is rendered again
+    last_t, stamp = None, ""
     with open_artifact(path) as fh:
         for t, topic, payload in trace.messages:
+            if t is not last_t:
+                last_t, stamp = t, '{"t":' + format_float(t)
             head = heads.get(topic)
             if head is None:
                 head = heads[topic] = f',"topic":{encode_basestring(topic)},"payload":'
-            fh.write('{"t":' + format_float(t) + head + encode_basestring(payload.decode("utf-8", "backslashreplace")) + "}\n")
+            fh.write(stamp + head + encode_basestring(payload.decode("utf-8", "backslashreplace")) + "}\n")
 
 
 def report_summary(report: SyncReport, ticks: int | None = None) -> str:

@@ -392,12 +392,17 @@ def test_sockets_subscribers_still_decode_poses_and_detections(decode_calls):
         assert decode_calls[key] > 0, key
 
 
+_TICK = 2 / 3  # the time object that two messages logged in one tick share
 ODD_MESSAGES = [
     (0.0, TOPIC_POSE, b'{"v":1}'),
     (1 / 3, 'odd/"topic"/\u00e9\u4e2d', '{"label":"caf\u00e9 \\"q\\"\\n"}'.encode()),
     (12345678901.5, TOPIC_POSE, "\u2028\x7f\U0001f600".encode()),
     (7, TOPIC_CUES, b""),
     (1e-300, 'odd/"topic"/\u00e9\u4e2d', b"{}"),
+    (0.0, TOPIC_POSE, b"{}"),
+    (-0.0, TOPIC_CUES, b"{}"),  # equal to the time before it, but written "-0"
+    (_TICK, TOPIC_POSE, b"{}"),
+    (_TICK, TOPIC_CUES, b"{}"),
 ]
 
 
