@@ -17,6 +17,7 @@ from wingman.protocol import format_float
 from wingman.scenario import (
     ConfigError,
     broker_port_default,
+    check_broker_port,
     config_from_dict,
     load_config,
     open_artifact,
@@ -114,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_broker(args) -> int:
-    port = args.port if args.port is not None else broker_port_default()
+    port = check_broker_port(args.port if args.port is not None else broker_port_default())
     server = TcpBrokerServer(Broker(), args.host, port)
     try:
         server.start()

@@ -6,8 +6,9 @@ Topic -> schema binding is closed: ``tagteam/pose`` carries PoseMsg,
 ``tagteam/cues`` carries CueMsg. The table ``_WIRE`` below is the one
 source of each message's wire keys, their order, their wire types and
 each field's constraint. The decoder and the check walk it; on first use
-it is compiled into each object's encoder and each message type's
-constructor and its test. docs/protocol.md describes what the fields mean.
+it is compiled into each object's encoder and builder and each message
+type's constructor and its test. Messages, like the ``Vec3`` and ``Pose``
+they hold, are slotted. docs/protocol.md describes what the fields mean.
 
 Encoding is canonical: fixed key order, floats rendered with 9
 significant digits, no whitespace, and an int or float subclass written
@@ -124,7 +125,7 @@ def _check(msg) -> None:
         wire.check(values, nested=True)
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class PoseMsg:
     """Wearable pose sample; sequence is strictly increasing per source."""
 
@@ -135,7 +136,7 @@ class PoseMsg:
     __post_init__ = _check
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class CommandMsg:
     """Absolute drone-frame position target plus commanded speed and yaw."""
 
@@ -147,7 +148,7 @@ class CommandMsg:
     __post_init__ = _check
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class DetachMsg:
     """Order to leave the human, visit waypoints and boomerang back.
 
@@ -163,7 +164,7 @@ class DetachMsg:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class DetectionMsg:
     """World-frame object sighting reported by the drone's detector."""
 
@@ -176,7 +177,7 @@ class DetectionMsg:
     __post_init__ = _check
 
 
-@dataclasses.dataclass(frozen=True, init=False)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class CueMsg:
     """Human-relative polar rendering of a detection, with blind-spot flag."""
 
@@ -224,17 +225,14 @@ class _Object:
 
     A wire type is ``str``, ``int``, ``float``, ``bool``, a nested
     ``_Object``, or ``[_Object]`` for a list of them. ``values`` maps a
-    ``cls`` object to its values in key order; ``build`` makes one from
-    them as the decoder reads them, and normalizes what the constructor
-    normalizes, but runs no check: ``decode`` checks the values before,
-    and ``render`` builds from values that keep the check's verdict. A
-    message's ``build`` writes its fields into the instance dict, through
-    :func:`_new` or, for a DetectionMsg, straight-line (:func:`_detection`);
-    a ``Vec3`` is a plain constructor call, and a ``Pose`` (:func:`_pose`)
-    is stored through its slots' setters, as the slotted classes have no
-    instance dict.
-    ``check`` and ``decode`` walk the table; ``render`` and ``admits`` are
-    compiled from it on first use.
+    ``cls`` object to its values in key order; ``build(make, *values)``
+    makes one from them as the decoder reads them, and normalizes what the
+    constructor normalizes, but runs no check: ``decode`` checks the values
+    before, and ``render`` builds from values that keep the check's
+    verdict. Each build is one call to ``make``; a ``Vec3`` whose x, y and
+    z a message writes among its own keys is a plain constructor call.
+    ``check`` and ``decode`` walk the table; ``render``, ``admits`` and
+    ``make`` are compiled from it on first use.
     """
 
     head = "{"
@@ -287,7 +285,7 @@ class _Object:
         values = [value if type(value := doc[key]) is kind else _convert(f"{path}{key}", kind, value)
                   for key, kind, _ in self.fields]
         self.check(values, path)
-        return self.build(*values)
+        return self.build(self.make, *values)
 
     @cached_property
     def render(self):
@@ -298,7 +296,7 @@ class _Object:
         not run again); a value of another type goes through :func:`_passer`."""
         names = ", ".join(f"v{i}" for i in range(len(self.fields)))
         body, template = [f"{names}, = values(obj)"], self.head.translate(_BRACED)
-        scope = {"values": self.values, "build": self.build, "encode_basestring": encode_basestring}
+        scope = {"values": self.values, "build": self.build, "make": self.make, "encode_basestring": encode_basestring}
         for i, (key, kind, _) in enumerate(self.fields):
             v, t = f"v{i}", f"t{i}"
             scope[f"p{i}"] = _passer(kind)
@@ -310,7 +308,7 @@ class _Object:
                 body += [f"if type({v}) is str:", f"    {t} = encode_basestring({v})"]
             body += ["else:", f"    {t}, {v} = p{i}({v})"] if kind is float or kind is str else [f"{t}, {v} = p{i}({v})"]
             template += ("," if i else "") + json.dumps(key).translate(_BRACED) + ":{" + t + "}"
-        body.append(f"return f{template + '}}'!r}, build({names})")
+        body.append(f"return f{template + '}}'!r}, build(make, {names})")
         return _compile(self.cls, "render", "obj", body, scope)
 
     @cached_property
@@ -337,13 +335,22 @@ class _Object:
         names = ", ".join(f"v{i}" for i in range(len(self.fields)))
         return _compile(self.cls, "admits", names, ["return (" + "\n        and ".join(tests) + ")"], scope)
 
+    @cached_property
+    def make(self):
+        """``make(*fields)``: a new ``cls`` object, its constructor skipped,
+        each field, in dataclass field order, stored through its slot's setter."""
+        scope = {"new": object.__new__, "cls": self.cls}
+        names = [f"v{i}" for i in range(len(dataclasses.fields(self.cls)))]
+        body = ["obj = new(cls)", *_stores(self.cls, "obj", names, scope), "return obj"]
+        return _compile(self.cls, "make", ", ".join(names), body, scope)
+
 
 class _Message(_Object):
     """The top-level object of one message type, published on ``topic``.
 
     It opens with the version and, on ``tagteam/cmd`` only, with the
     ``kind`` discriminator. The constructor of ``cls`` is ``init``, made
-    on the first construction.
+    on the first construction; it stores the fields as ``make`` does.
     """
 
     def __init__(self, cls: type, topic: str, kind: str | None, fields, values, build) -> None:
@@ -359,11 +366,11 @@ class _Message(_Object):
 
     @cached_property
     def init(self):
-        """The constructor of ``cls``: it stores the fields in the instance
-        dict, then calls ``__post_init__``, looked up on each call."""
-        names = [field.name for field in dataclasses.fields(self.cls)]
-        body = ["fields = self.__dict__", *(f"fields[{name!r}] = {name}" for name in names), "self.__post_init__()"]
-        return _compile(self.cls, "__init__", ", ".join(["self", *names]), body, {})
+        """The constructor of ``cls``: it stores each field through its
+        slot's setter, then calls ``__post_init__``, looked up on each call."""
+        scope, names = {}, [field.name for field in dataclasses.fields(self.cls)]
+        body = [*_stores(self.cls, "self", names, scope), "self.__post_init__()"]
+        return _compile(self.cls, "__init__", ", ".join(["self", *names]), body, scope)
 
 
 # Maps text to the literal text of an f-string: braces doubled.
@@ -376,6 +383,14 @@ def _compile(cls: type, name: str, params: str, body: list[str], scope: dict):
     source = f"def {name}({params}):\n" + "\n".join("    " + line for line in body)
     exec(compile(source, f"<{name} of {cls.__name__}>", "exec"), scope)
     return scope[name]
+
+
+def _stores(cls: type, obj: str, names: list[str], scope: dict) -> list[str]:
+    """Lines storing ``names`` into ``obj``, one per dataclass field of the
+    slotted ``cls`` in field order, through its slot's setter, put in ``scope``."""
+    for i, field in enumerate(dataclasses.fields(cls)):
+        scope[f"s{i}"] = getattr(cls, field.name).__set__
+    return [f"s{i}({obj}, {name})" for i, name in enumerate(names)]
 
 
 def _passer(kind):
@@ -413,45 +428,6 @@ def _convert(name: str, kind, value):
     return value
 
 
-def _new(cls: type, /, **fields):
-    """A ``cls`` message holding ``fields``, made without its constructor:
-    the fields are written into its instance dict. A message class keeps
-    its dict; the ``Vec3`` and ``Pose`` it holds are slotted and have none."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-_set_position, _set_yaw, _set_frame, _set_timestamp = (
-    Pose.position.__set__, Pose.yaw.__set__, Pose.frame.__set__, Pose.timestamp.__set__
-)
-
-
-def _pose(frame, x, y, z, yaw, timestamp) -> Pose:
-    """The ``build`` of a Pose: made without its constructor, whose checks
-    ``decode`` ran, each field stored through its slot's setter and the yaw
-    normalized as the constructor normalizes it. The frame's rule admits
-    only the wearable frame."""
-    pose = object.__new__(Pose)
-    _set_position(pose, Vec3(x, y, z))
-    _set_yaw(pose, wrap_angle(yaw))
-    _set_frame(pose, FrameId.WEARABLE)
-    _set_timestamp(pose, timestamp)
-    return pose
-
-
-def _detection(object_id, label, x, y, z, confidence, timestamp) -> DetectionMsg:
-    """The ``build`` of a DetectionMsg, the message a run builds most: as
-    ``_new``, made without its constructor, but with no keywords; its
-    position is a plain ``Vec3`` call, which checks nothing."""
-    position = Vec3(x, y, z)
-    msg = object.__new__(DetectionMsg)
-    fields = msg.__dict__
-    fields["object_id"], fields["label"], fields["position"] = object_id, label, position
-    fields["confidence"], fields["timestamp"] = confidence, timestamp
-    return msg
-
-
 def _xyz(holder, name: str) -> tuple:
     """The x, y and z a message writes among its own keys for the Vec3 in
     its field ``name``; ValidationError if that field holds no Vec3."""
@@ -468,11 +444,13 @@ def _frame_name(frame) -> str:
 
 
 _XYZ = (("x", float, _FINITE), ("y", float, _FINITE), ("z", float, _FINITE))
+_VEC3 = _Object(Vec3, _XYZ, Vec3.as_tuple, lambda make, x, y, z: make(x, y, z))
 _POSE = _Object(
     Pose,
     (("frame", str, _WEARABLE), *_XYZ, ("yaw", float, _FINITE), ("timestamp", float, _NON_NEGATIVE)),
     lambda pose: (_frame_name(pose.frame), *pose.position.as_tuple(), pose.yaw, pose.timestamp),
-    _pose,
+    # a decoded pose's frame is the wearable one, the only frame its rule admits
+    lambda make, frame, x, y, z, yaw, timestamp: make(Vec3(x, y, z), wrap_angle(yaw), FrameId.WEARABLE, timestamp),
 )
 
 # The one statement of each message's wire keys, order, wire types and constraints.
@@ -481,38 +459,35 @@ _WIRE: dict[type, _Message] = {wire.cls: wire for wire in (
         PoseMsg, TOPIC_POSE, None,
         (("source_id", str, _NON_EMPTY), ("sequence", int, _UINT64), ("pose", _POSE, _ANY)),
         lambda m: (m.source_id, m.sequence, m.pose),
-        lambda source_id, sequence, pose: _new(PoseMsg, source_id=source_id, pose=pose, sequence=sequence),
+        lambda make, source_id, sequence, pose: make(source_id, pose, sequence),
     ),
     _Message(
         CommandMsg, TOPIC_CMD, "move",
         (("sequence", int, _UINT64), *_XYZ, ("yaw", float, _FINITE), ("speed", float, _POSITIVE)),
         lambda m: (m.sequence, *_xyz(m.target, "target"), m.yaw, m.speed),
-        lambda sequence, x, y, z, yaw, speed: _new(
-            CommandMsg, target=Vec3(x, y, z), yaw=yaw, speed=speed, sequence=sequence
-        ),
+        lambda make, sequence, x, y, z, yaw, speed: make(Vec3(x, y, z), yaw, speed, sequence),
     ),
     _Message(
         DetachMsg, TOPIC_CMD, "detach",
-        (("sequence", int, _UINT64), ("waypoints", [_Object(Vec3, _XYZ, Vec3.as_tuple, Vec3)], _NON_EMPTY)),
+        (("sequence", int, _UINT64), ("waypoints", [_VEC3], _NON_EMPTY)),
         lambda m: (m.sequence, m.waypoints),
-        lambda sequence, waypoints: _new(DetachMsg, waypoints=tuple(waypoints), sequence=sequence),
+        lambda make, sequence, waypoints: make(tuple(waypoints), sequence),
     ),
     _Message(
         DetectionMsg, TOPIC_DETECTIONS, None,
         (("object_id", str, _NON_EMPTY), ("label", str, _ANY), *_XYZ,
          ("confidence", float, _UNIT), ("timestamp", float, _NON_NEGATIVE)),
         lambda m: (m.object_id, m.label, *_xyz(m.position, "position"), m.confidence, m.timestamp),
-        _detection,
+        lambda make, object_id, label, x, y, z, confidence, timestamp: make(
+            object_id, label, Vec3(x, y, z), confidence, timestamp),
     ),
     _Message(
         CueMsg, TOPIC_CUES, None,
         (("object_id", str, _NON_EMPTY), ("label", str, _ANY), ("distance", float, _NON_NEGATIVE),
          ("azimuth", float, _FINITE), ("blind_spot", bool, _ANY), ("timestamp", float, _NON_NEGATIVE)),
         lambda m: (m.object_id, m.label, m.distance, m.azimuth, m.blind_spot, m.timestamp),
-        lambda object_id, label, distance, azimuth, blind_spot, timestamp: _new(
-            CueMsg, object_id=object_id, label=label, distance=distance, azimuth=wrap_azimuth(azimuth),
-            blind_spot=blind_spot, timestamp=timestamp,
-        ),
+        lambda make, object_id, label, distance, azimuth, blind_spot, timestamp: make(
+            object_id, label, distance, wrap_azimuth(azimuth), blind_spot, timestamp),
     ),
 )}
 _BY_TOPIC = {wire.topic: wire for wire in _WIRE.values() if wire.kind is None}

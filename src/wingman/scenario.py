@@ -69,6 +69,13 @@ class ConfigError(Exception):
     """The scenario configuration is invalid or references missing files."""
 
 
+def check_broker_port(port) -> int:
+    """``port`` if it is an int (not a bool) in 0..65535; else ConfigError."""
+    if isinstance(port, bool) or not isinstance(port, int) or not 0 <= port <= 65535:
+        raise ConfigError(f"broker_port must be 0..65535, got {port!r}")
+    return port
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     trajectory: TrajectorySpec = field(default_factory=lambda: TrajectorySpec(Circle()))
@@ -104,8 +111,7 @@ class ScenarioConfig:
             raise ConfigError("world object ids must be unique")
         if not all(waypoints for _, waypoints in self.detach_script):
             raise ConfigError("each detach order needs at least one waypoint")
-        if isinstance(self.broker_port, bool) or not isinstance(self.broker_port, int) or not 0 <= self.broker_port <= 65535:
-            raise ConfigError(f"broker_port must be 0..65535, got {self.broker_port!r}")
+        check_broker_port(self.broker_port)
         if not isinstance(self.broker_host, str) or not self.broker_host:
             raise ConfigError(f"broker_host must be a non-empty string, got {self.broker_host!r}")
 

@@ -49,15 +49,22 @@ class ProtocolError(Exception):
     """Malformed wire data; the offending connection must be dropped."""
 
 
+def _check_string(value, name: str) -> None:
+    """The rule for every string a packet carries (a topic name, a filter or
+    a client id): a non-empty str, no U+0000 [MQTT-1.5.3-2], and at most
+    65,535 UTF-8 bytes; else PacketError naming it."""
+    if not isinstance(value, str) or not value:
+        raise PacketError(f"{name}: must be a non-empty string")
+    if "\x00" in value:
+        raise PacketError(f"{name}: NUL not allowed")
+    if len(value.encode("utf-8")) > 65_535:
+        raise PacketError(f"{name}: longer than 65535 bytes")
+
+
 def validate_topic(topic: str) -> None:
-    if not isinstance(topic, str) or not topic:
-        raise PacketError("topic: must be a non-empty string")
+    _check_string(topic, "topic")
     if "+" in topic or "#" in topic:
         raise PacketError(f"topic: wildcards not allowed in topic name {topic!r}")
-    if "\x00" in topic:
-        raise PacketError("topic: NUL not allowed")
-    if len(topic.encode("utf-8")) > 65_535:
-        raise PacketError("topic: longer than 65535 bytes")
 
 
 def _topic_prefix(topic: str) -> bytes:
@@ -76,12 +83,7 @@ def _topic_prefix(topic: str) -> bytes:
 
 
 def validate_filter(filter_: str) -> None:
-    if not isinstance(filter_, str) or not filter_:
-        raise PacketError("filter: must be a non-empty string")
-    if "\x00" in filter_:
-        raise PacketError("filter: NUL not allowed")
-    if len(filter_.encode("utf-8")) > 65_535:
-        raise PacketError("filter: longer than 65535 bytes")
+    _check_string(filter_, "filter")
     levels = filter_.split("/")
     for i, level in enumerate(levels):
         if "#" in level:
@@ -96,10 +98,7 @@ class Connect:
     client_id: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.client_id, str) or not self.client_id:
-            raise PacketError("client_id: must be a non-empty string")
-        if len(self.client_id.encode("utf-8")) > 65_535:
-            raise PacketError("client_id: longer than 65535 bytes")
+        _check_string(self.client_id, "client_id")
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
 import string
+import sys
 import time
 
 import pytest
+
+# Before any wingman import: the tests, and the Python subprocesses they
+# start, which inherit the variable, write no bytecode into src/.
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+sys.dont_write_bytecode = True
 
 from wingman import protocol
 from wingman.geometry import FrameId, Pose, Vec3

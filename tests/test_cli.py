@@ -12,6 +12,7 @@ import pytest
 from conftest import wait_until
 
 import wingman
+from wingman import cli
 from wingman.cli import main
 from wingman.transport import MqttClient, SocketTransport
 
@@ -440,6 +441,28 @@ def test_bad_port_env_only_fails_commands_that_read_it(monkeypatch, capsys):
     # with no port given, run still reports the bad environment
     assert main(["run", "--duration", "1"]) == 2
     assert "WINGMAN_BROKER_PORT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--port", "70000"], None),
+    (["--port", "-1"], None),
+    ([], "70000"),
+])
+def test_broker_refuses_an_out_of_range_port_as_a_config_error(monkeypatch, capsys, argv, env):
+    monkeypatch.delenv("WINGMAN_BROKER_PORT", raising=False)
+    if env is not None:
+        monkeypatch.setenv("WINGMAN_BROKER_PORT", env)
+
+    def bind(*args):
+        raise AssertionError("the broker was started")
+
+    monkeypatch.setattr(cli.TcpBrokerServer, "start", bind)
+    assert main(["broker", *argv]) == 2
+    port = env if env is not None else argv[1]
+    assert capsys.readouterr() == ("", f"error: broker_port must be 0..65535, got {port}\n")
+    # run names the same field, through the same check
+    assert main(["run", "--duration", "1", *argv]) == 2
+    assert capsys.readouterr().err == f"error: broker_port must be 0..65535, got {port}\n"
 
 
 def test_broker_port_env_parsing(monkeypatch):

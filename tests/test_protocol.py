@@ -735,7 +735,8 @@ def walk_verdict(cls, fields):
     """The error text of the table walk over ``fields`` of a ``cls``, or None."""
     wire = protocol._WIRE[cls]
     try:
-        wire.check(wire.values(protocol._new(cls, **fields)), nested=True)
+        msg = wire.make(*(fields[field.name] for field in dataclasses.fields(cls)))
+        wire.check(wire.values(msg), nested=True)
     except ValidationError as exc:
         return str(exc)
     return None
@@ -760,7 +761,7 @@ def test_the_constructor_refuses_exactly_what_the_walk_refuses(cls):
     assert len({verdict.split(":")[0] for verdict in verdicts if verdict}) >= len(ANY_FIELDS[cls])
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class Gadget:
     """A made-up message with one field of each wire type."""
 
@@ -777,14 +778,14 @@ class Gadget:
 def gadget_wire():
     """A wire table entry for ``Gadget``, its keys ones that JSON or an
     f-string must escape."""
-    point = protocol._Object(Vec3, protocol._XYZ, Vec3.as_tuple, Vec3)
+    point = protocol._Object(Vec3, protocol._XYZ, Vec3.as_tuple, lambda make, x, y, z: make(x, y, z))
     return protocol._Message(
         Gadget, "test/gadget", None,
         (('na"me', str, protocol._NON_EMPTY), ("co\\unt", int, protocol._UINT64), ("{weight}", float, protocol._FINITE),
          ("arm\u00e9d", bool, protocol._ANY), ("wh'ere", point, protocol._ANY), ("path}", [point], protocol._NON_EMPTY)),
         lambda g: (g.name, g.count, g.weight, g.armed, g.where, g.path),
-        lambda name, count, weight, armed, where, path: protocol._new(
-            Gadget, name=name, count=count, weight=weight, armed=armed, where=where, path=tuple(path)),
+        lambda make, name, count, weight, armed, where, path: make(
+            name, count, weight, armed, where, tuple(path)),
     )
 
 
@@ -827,8 +828,8 @@ def test_the_generator_compiles_any_table_entry(monkeypatch):
 
 def test_importing_wingman_compiles_no_wire_function():
     code = ("import wingman, wingman.cli, wingman.protocol as p\n"
-            "print(sorted((w.cls.__name__, name) for w in [*p._WIRE.values(), p._POSE]"
-            " for name in ('render', 'admits', 'init') if name in vars(w)))")
+            "print(sorted((w.cls.__name__, name) for w in [*p._WIRE.values(), p._POSE, p._VEC3]"
+            " for name in ('render', 'admits', 'init', 'make') if name in vars(w)))")
     src = str(Path(protocol.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)

@@ -1,5 +1,6 @@
-"""The slotted value classes a run builds on every tick: no instance dict,
-frozen, and the dataclass equality, hash, repr and replace of before."""
+"""The slotted value and message classes a run builds on every tick: no
+instance dict, frozen, and the dataclass equality, hash, repr and replace
+of before."""
 
 from __future__ import annotations
 
@@ -14,9 +15,12 @@ from wingman.follower import IssueCommand, MissionState, Mode, PoseUpdate, RunAs
 from wingman.geometry import FrameId, Pose, Vec3, wrap_angle
 from wingman.protocol import (
     TOPIC_CMD,
+    TOPIC_CUES,
     TOPIC_DETECTIONS,
     TOPIC_POSE,
     CommandMsg,
+    CueMsg,
+    DetachMsg,
     DetectionMsg,
     PoseMsg,
     decode_message,
@@ -27,6 +31,7 @@ from wingman.scenario import TraceRow
 POSE = Pose(Vec3(1.0, 2.0, 3.0), 0.5, FrameId.WORLD, 2.0)
 OTHER = Pose(Vec3(-1.0, 0.0, 0.25), -3.0, FrameId.WEARABLE, 0.0)
 COMMAND = CommandMsg(Vec3(1.0, 0.5, -2.0), 0.25, 0.75, 4)
+WORN = Pose(Vec3(0.5, 0.0, -1.25), 0.25, FrameId.WEARABLE, 2.0)
 
 # (class, arguments it stores as given, a replace that changes the object)
 SLOTTED = [
@@ -38,6 +43,11 @@ SLOTTED = [
     (PoseUpdate, (POSE,), {"pose": OTHER}),
     (RunAssess, (POSE,), {"pose": OTHER}),
     (IssueCommand, (Vec3(1.0, 0.0, 2.0), 0.5, 1.0), {"speed": 2.0}),
+    (PoseMsg, ("wearable", WORN, 3), {"sequence": 4}),
+    (CommandMsg, (Vec3(1.0, 0.5, -2.0), 0.25, 0.75, 4), {"speed": 1.5}),
+    (DetachMsg, ((Vec3(1.0, 0.0, 2.0), Vec3()), 5), {"waypoints": (Vec3(),)}),
+    (DetectionMsg, ("cone-1", "cone", Vec3(2.0, 0.0, -0.5), 0.75, 1.5), {"confidence": 0.5}),
+    (CueMsg, ("cone-1", "cone", 2.5, -1.0, True, 1.5), {"blind_spot": False}),
 ]
 
 
@@ -125,3 +135,25 @@ def test_decoded_poses_and_vectors_are_slotted():
     payload = encode_message(detection)
     for msg in (parse(TOPIC_DETECTIONS, payload), decode_message(TOPIC_DETECTIONS, payload)):
         assert msg == detection and type(msg.position) is Vec3 and _dictless(msg.position)
+
+
+# one message of each type, on its topic
+MESSAGES = [
+    (TOPIC_POSE, PoseMsg("wearable", WORN, 3)),
+    (TOPIC_CMD, COMMAND),
+    (TOPIC_CMD, DetachMsg([Vec3(1.0, 0.0, 2.0), Vec3()], 5)),
+    (TOPIC_DETECTIONS, DetectionMsg("cone-1", "cone", Vec3(2.0, 0.0, -0.5), 0.75, 1.5)),
+    (TOPIC_CUES, CueMsg("cone-1", "cone", 2.5, 4.0, False, 1.5)),
+]
+
+
+@pytest.mark.parametrize("topic, msg", MESSAGES, ids=[type(msg).__name__ for _, msg in MESSAGES])
+def test_constructed_parsed_and_kept_messages_are_slotted(topic, msg):
+    payload = encode_message(msg)
+    kept = decode_message(topic, payload)  # the message encoding built, kept as the topic's last
+    parsed = parse(topic, payload)
+    assert kept is not parsed and kept == parsed and encode_message(parsed) == payload
+    for obj in (msg, kept, parsed):
+        assert type(obj) is type(msg) and _dictless(obj)
+        assert [type(getattr(obj, name)) for name in type(obj).__slots__] == [
+            type(getattr(msg, name)) for name in type(msg).__slots__]

@@ -253,6 +253,27 @@ def test_filter_validation():
             validate_filter(bad)
 
 
+@pytest.mark.parametrize("client_id, text", [
+    ("a\x00b", "client_id: NUL not allowed"),
+    ("", "client_id: must be a non-empty string"),
+    (5, "client_id: must be a non-empty string"),
+    ("x" * 65_536, "client_id: longer than 65535 bytes"),
+    ("\u00e9" * 32_768, "client_id: longer than 65535 bytes"),
+])
+def test_client_id_validation(client_id, text):
+    with pytest.raises(PacketError) as caught:
+        Connect(client_id)
+    assert str(caught.value) == text
+
+
+def test_connect_with_a_nul_in_its_client_id_is_protocol_error():
+    # [MQTT-1.5.3-2]: a receiver closes the connection on a string holding U+0000
+    frame = encode_packet(Connect("abc"))
+    assert frame.endswith(b"\x00\x03abc") and PacketDecoder().feed(frame) == [Connect("abc")]
+    with pytest.raises(ProtocolError, match="^client_id: NUL not allowed$"):
+        PacketDecoder().feed(frame[:-3] + b"a\x00c")
+
+
 def test_topic_matches_examples():
     assert topic_matches("tagteam/pose", "tagteam/pose")
     assert topic_matches("tagteam/#", "tagteam/cues/left")
