@@ -29,10 +29,18 @@ perfect synchronization. The lag estimate is the integer sample shift
 (positive = second trajectory lags the first) minimizing the mean
 distance between shift-aligned normalized points, in seconds; ties
 prefer the smaller |shift|, then the negative one. Every shift up to
-half the grid is scored. Blocks of consecutive shifts are scored at
-once, as rows of one array of shift-aligned differences, with the same
-float operations per shift as ``np.linalg.norm(diffs, axis=1).mean()``,
-so the scores are those of a loop over the shifts, bit for bit.
+half the grid is a candidate, and few are scored. A lower bound on each
+shift's score comes from the triangle inequality over chunks of 16
+consecutive pairs: the distances of a chunk add up to at least the
+distance of its sums. The bounds cost about a sixteenth of scoring every
+shift. Shifts are scored best first, in ascending order of bound, until
+the next bound exceeds the best score, so every shift left scores
+higher than the best. Each score has the float operations of
+``np.linalg.norm(diffs, axis=1).mean()``, so the estimate is the one a
+loop over every shift gives, bit for bit. Trajectories in sync have
+their scored shifts cut to a few percent; unrelated ones prune nothing.
+On a periodic path the estimate can still be a whole revolution off the
+true lag, as it was before the search was pruned.
 """
 
 from __future__ import annotations
@@ -345,8 +353,15 @@ def _as_points(seq: Sequence) -> np.ndarray:
 
 
 def _normalize(points: np.ndarray) -> np.ndarray:
-    centered = points - points.mean(axis=0)
-    scale = float(np.linalg.norm(centered, axis=1).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = points - points.mean(axis=0)
+        scale = float(np.linalg.norm(centered, axis=1).max())
+    if not math.isfinite(scale):
+        # past about 1e154 the squares overflow (and past about 1e308 the
+        # sums): bring the points into range first
+        points = points / np.abs(points).max()
+        centered = points - points.mean(axis=0)
+        scale = float(np.linalg.norm(centered, axis=1).max())
     if scale > 0.0:
         centered = centered / scale
     return centered
@@ -383,63 +398,129 @@ def _dtw_similarity(A: np.ndarray, B: np.ndarray) -> tuple[float, float, int]:
     return distance, 1.0 / (1.0 + distance / len(path)), len(path)
 
 
-# Shift-aligned distances per block of the lag search: enough that numpy's
-# per-call cost is small against the work, few enough to bound its memory
-# (one 512 KB array per coordinate column).
-_LAG_BLOCK = 1 << 16
+# Chunk distances per block of the lag search's bounds: enough that numpy's
+# per-call cost is small against the work, few enough to keep each of the
+# block's arrays at 128 KB (with 512 KB arrays, each block's fresh memory
+# made the bounds about 40% slower on a 2-core Xeon).
+_LAG_BLOCK = 1 << 14
+
+# Consecutive pairs summed into one chunk by the lag search's bound (a
+# power of two): longer chunks make the bound cheaper and looser.
+_LAG_CHUNK = 16
 
 
-def _lag_scores(A: np.ndarray, B: np.ndarray) -> list[float]:
-    """Mean distance of the shift-aligned points for each shift s from
-    -(n // 2) to n // 2, at index s + n // 2.
+def _lag_bounds(fixed: np.ndarray, shifted: np.ndarray, last: int) -> np.ndarray:
+    """A lower bound on ``_shift_score(fixed, shifted, t)`` for each shift
+    t from 0 to ``last``, from (d, n) coordinate rows.
 
-    Shift s >= 0 pairs A[i] with B[i + s] and shift s < 0 pairs A[i - s]
-    with B[i]. The sign of a difference does not change its square, so
-    shift -t is scored as B[i] - A[i + t].
+    The score is the mean of the L = n - t distances |fixed[i] -
+    shifted[i + t]|. By the triangle inequality, the distances of C =
+    ``_LAG_CHUNK`` consecutive pairs add up to at least the distance of
+    their sums, so the score is at least the sum over the L // C whole
+    chunks of |F_j - S_(jC + t)|, over L: F_j sums the fixed points jC
+    to jC + C - 1 (one reshape), and S_p the shifted points p to p + C -
+    1 (window sums, from log2 C additions of shifted copies, read at
+    stride C). The bound costs about 1 / C of scoring every shift. A
+    block of shifts is bounded at once, one chunk per row and one shift
+    per column.
+
+    Floats, with u = 2**-52, M the largest |coordinate| and K = L // C:
+    - ``_shift_score`` computes at least the exact score times 1 - (L +
+      d + 4) u / 2, less sqrt(d) 2**-537: each difference rounds by u /
+      2 relative (exactly if subnormal), each square and sum of squares
+      by u / 2 relative plus 2**-1075 (underflow), so the root errs by u
+      / 2 relative plus sqrt(d 2**-1075), and the sum of the L
+      nonnegative distances and its division by L by u / 2 each;
+    - a chunk sum of C terms, in any order, errs by at most (C - 1) u C
+      M per coordinate, so the distance of two sums by sqrt(d) 2 (C - 1)
+      u C M. By the same steps as the score's, with K <= L / C, the
+      computed bound is at most the exact one plus sqrt(d) (2 (C - 1) u
+      M + 2**-537 / C), times 1 + (K + d + 4) u / 2;
+    - so the computed score is at least the computed bound times 1 - (L
+      + K + 2 d + 8) u / 2, less sqrt(d) (2 C u M + 2**-536). The bound
+      is shrunk by a relative 4 (n + d + 8) u, which exceeds that and
+      the rounding of the shrink, and lowered by d (4 C u M + 2**-535).
+    A bound that comes out negative, or not finite because a sum or a
+    square overflowed (chunk sums past about 1e154), is 0.
     """
-    half = len(A) // 2
-    return _shifted_means(B, A, half)[:0:-1] + _shifted_means(A, B, half)
+    d, n = fixed.shape
+    bounds = np.zeros(last + 1)
+    chunks = n // _LAG_CHUNK
+    with np.errstate(over="ignore", invalid="ignore"):
+        fixed_sums = fixed[:, :chunks * _LAG_CHUNK].reshape(d, chunks, _LAG_CHUNK).sum(axis=2)
+        window_sums, width = shifted, 1
+        while width < _LAG_CHUNK:
+            window_sums, width = window_sums[:, width:] + window_sums[:, :-width], 2 * width
+        # zeros past the last window keep every block's view in range; the
+        # entries that read them are set to 0 below
+        window_sums = np.concatenate([window_sums, np.zeros((d, n))], axis=1)
+        start = 0
+        while start <= last and (n - start) // _LAG_CHUNK:
+            count = (n - start) // _LAG_CHUNK
+            stop = min(last + 1, start + max(1, _LAG_BLOCK // count))
+            dist = None
+            for sums, windows in zip(fixed_sums, window_sums):
+                # diff[j, t - start] = F_j - S_(jC + t)
+                diff = sums[:count, None] - sliding_window_view(windows[start:], stop - start)[::_LAG_CHUNK][:count]
+                diff *= diff
+                dist = diff if dist is None else np.add(dist, diff, out=dist)
+            np.sqrt(dist, out=dist)
+            # shift t has (n - t) // C whole chunks: chunk j is past the
+            # pairs of the shifts after n - (j + 1) C
+            for j in range((n - stop + 1) // _LAG_CHUNK, count):
+                dist[j, n - (j + 1) * _LAG_CHUNK + 1 - start:] = 0.0
+            bounds[start:stop] = dist.sum(axis=0) / np.arange(n - start, n - stop, -1)
+            start = stop
+        u = math.ulp(1.0)
+        scale = max(np.abs(fixed).max(), np.abs(shifted).max())
+        bounds = bounds * (1 - 4 * (n + d + 8) * u) - d * (4 * _LAG_CHUNK * u * scale + 2.0**-535)
+        return np.where(bounds < math.inf, np.maximum(bounds, 0.0), 0.0)
 
 
-def _shifted_means(fixed: np.ndarray, shifted: np.ndarray, last: int) -> list[float]:
-    """Mean distance of fixed[i] and shifted[i + t] over their n - t pairs,
-    for each t from 0 to ``last``.
+def _shift_score(a: np.ndarray, b: np.ndarray, s: int) -> float:
+    """Mean distance of the shift-aligned points at shift s, from (d, n)
+    coordinate rows.
 
-    A block of consecutive shifts is scored at once, one shift per row:
-    for each coordinate, the fixed column minus windows over a
-    zero-padded copy of the shifted one (the pairs past n - t read
-    padding and are not scored). The float operations are those of
-    ``np.linalg.norm(diffs, axis=1).mean()`` on the n - t differences:
-    dx*dx + dy*dy per pair, its root, then the pairwise sum of the row's
-    first n - t distances divided by n - t.
+    Shift s >= 0 pairs a[i] with b[i + s] and shift s < 0 pairs a[i - s]
+    with b[i]; the sign of a difference does not change its square, so
+    shift -t is scored as b[i] - a[i + t]. The float operations are those
+    of ``np.linalg.norm(diffs, axis=1).mean()`` on the n - |s|
+    differences: dx*dx + dy*dy per pair, its root, then the pairwise sum
+    of the distances divided by their count.
     """
-    n, d = fixed.shape
-    padded = [np.concatenate([shifted[:, k], np.zeros(n)]) for k in range(d)]
-    means: list[float] = []
-    start = 0
-    while start <= last:
-        width = n - start
-        stop = min(last + 1, start + max(1, _LAG_BLOCK // width))
-        dist = None  # drop the last block's rows before making this block's
-        for k in range(d):
-            diff = fixed[:width, k] - sliding_window_view(padded[k], width)[start:stop]
-            diff *= diff
-            dist = diff if dist is None else np.add(dist, diff, out=dist)
-        np.sqrt(dist, out=dist)
-        means += [float(np.add.reduce(row[:n - t]) / (n - t)) for row, t in zip(dist, range(start, stop))]
-        start = stop
-    return means
+    if s < 0:
+        a, b, s = b, a, -s
+    count = a.shape[1] - s
+    dist = None
+    for x, y in zip(a, b):
+        diff = x[:count] - y[s:]
+        diff *= diff
+        dist = diff if dist is None else np.add(dist, diff, out=dist)
+    return float(np.add.reduce(np.sqrt(dist, out=dist)) / count)
 
 
 def _lag_samples(A: np.ndarray, B: np.ndarray) -> int:
     """Integer shift minimizing mean distance of shift-aligned points.
 
     Positive shift means B lags A. Ties prefer the smaller magnitude,
-    then the negative shift.
+    then the negative shift. Every shift up to half the grid is a
+    candidate. They are visited best first, in ascending order of
+    ``_lag_bounds``, and scored until the next bound exceeds the best
+    score: every shift left has a score above the best, so the tie rule
+    picks the shift that scoring them all would pick.
     """
     half = len(A) // 2
-    scores = _lag_scores(A, B)
-    return min(range(-half, half + 1), key=lambda s: (scores[half + s], abs(s), s))
+    a, b = A.T.copy(), B.T.copy()
+    # shift s >= 0 at index s, shift -t at index half + t
+    bounds = np.concatenate([_lag_bounds(a, b, half), _lag_bounds(b, a, half)[1:]])
+    order = np.argsort(bounds)
+    best = (math.inf, 0, 0)
+    for i, bound in zip(order.tolist(), bounds[order].tolist()):
+        if bound > best[0]:
+            break
+        s = i if i <= half else half - i
+        best = min(best, (_shift_score(a, b, s), abs(s), s))
+    return best[2]
 
 
 def sync_report(a: Trajectory, b: Trajectory) -> SyncReport:

@@ -437,7 +437,8 @@ def config_from_dict(doc: dict, base_dir: str | Path = ".") -> ScenarioConfig:
 def _object(make, keys: dict, required: tuple = ()):
     """A parser of one config object, driven by its table ``keys``: config key -> (keyword of
     ``make``, parser of the value by its dotted name). Only the keys given reach ``make``. An
-    unknown key, a missing required one or two keys for one keyword are refused, and a
+    unknown key, a missing required one, two keys for one keyword or a string value without a
+    UTF-8 form (a surrogate, which a JSON escape such as "\\ud800" can hold) are refused, and a
     ValueError of ``make`` is prefixed with the object's name.
     """
     def parse(doc, name: str):
@@ -453,7 +454,13 @@ def _object(make, keys: dict, required: tuple = ()):
                 if keyword in given:
                     raise ConfigError(f"give either {given[keyword]} or {key}, not both")
                 given[keyword] = key
-                kwargs[keyword] = read(doc[key], f"{name}.{key}" if name else key)
+                value, value_name = doc[key], f"{name}.{key}" if name else key
+                if isinstance(value, str) and not value.isascii():
+                    try:
+                        value.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ConfigError(f"{value_name} must not hold a surrogate, got {value!r}") from None
+                kwargs[keyword] = read(value, value_name)
             elif key in required:
                 raise ConfigError(f"{label} missing field {key!r}")
         try:

@@ -51,13 +51,18 @@ class ProtocolError(Exception):
 
 def _check_string(value, name: str) -> None:
     """The rule for every string a packet carries (a topic name, a filter or
-    a client id): a non-empty str, no U+0000 [MQTT-1.5.3-2], and at most
-    65,535 UTF-8 bytes; else PacketError naming it."""
+    a client id): a non-empty str, no U+0000 [MQTT-1.5.3-2], no surrogate
+    U+D800 to U+DFFF [MQTT-1.5.3-1], and at most 65,535 UTF-8 bytes; else
+    PacketError naming it."""
     if not isinstance(value, str) or not value:
         raise PacketError(f"{name}: must be a non-empty string")
     if "\x00" in value:
         raise PacketError(f"{name}: NUL not allowed")
-    if len(value.encode("utf-8")) > 65_535:
+    try:
+        encoded = value.encode("utf-8")
+    except UnicodeEncodeError:  # UTF-8 encodes every code point but the surrogates
+        raise PacketError(f"{name}: surrogate not allowed") from None
+    if len(encoded) > 65_535:
         raise PacketError(f"{name}: longer than 65535 bytes")
 
 

@@ -181,6 +181,10 @@ BAD_NUMBERS = [
     ('"world": [{"id": "c", "label": 5, "x": 0, "y": 0, "z": 1}]', "world[0].label"),
     ('"mode": "sockets", "broker_host": 5', "broker_host"),
     ('"broker_host": ""', "broker_host"),
+    # a JSON escape can hold a lone surrogate, which has no UTF-8 form
+    ('"world": [{"id": "c\\udc80", "x": 0, "y": 0, "z": 1}]', "world[0].id"),
+    ('"world": [{"id": "c", "label": "\\ud800", "x": 0, "y": 0, "z": 1}]', "world[0].label"),
+    ('"broker_host": "\\udfff"', "broker_host"),
     # a value that must be a list names its field
     ('"world": "abc"', "world"),
     ('"world": {"id": "c", "x": 0, "y": 0, "z": 1}', "world"),
@@ -194,6 +198,18 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, entry, name):
     cfg.write_text('{"duration": 0.5, ' + entry + "}")  # the later of two "duration" keys wins
     assert main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+
+def test_a_lone_surrogate_in_a_config_string_exits_2(tmp_path, capsys):
+    # the detector sees the object, so its label reaches the wire and the
+    # artifacts, neither of which can encode it
+    cfg = tmp_path / "surrogate.json"
+    cfg.write_text('{"duration": 2.0, "detector": {"fov": 6.28}, '
+                   '"world": [{"id": "c1", "label": "\\ud800", "x": 0, "y": 0, "z": 1}]}')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: world[0].label ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # every config object refuses a key it does not know, and says which object

@@ -12,7 +12,6 @@ from wingman.evaluation import (
     AnnotationError,
     Trajectory,
     _lag_samples,
-    _lag_scores,
     dtw,
     load_annotations,
     similarity,
@@ -511,6 +510,21 @@ def test_sync_report_invariants():
     assert report.path_length >= max(len(a), len(b))
 
 
+def test_sync_report_of_a_huge_circle_against_a_still_point():
+    # past about 1e154 the squares of the circle's centred points overflow;
+    # a drone that never moves must not read as perfectly in sync
+    times = tuple(k / 10 for k in range(40))
+    still = Trajectory(times, ((0.0, 0.0),) * 40)
+    reports = []
+    for radius in (1.0, 1e150, 1e200, 1.7e308):
+        circle = Trajectory(times, tuple((radius * math.cos(t), radius * math.sin(t)) for t in times))
+        reports.append(sync_report(circle, still))
+    assert reports[0].similarity < 0.6
+    for report in reports[1:]:
+        assert report.similarity == pytest.approx(reports[0].similarity, rel=1e-12)
+        assert report.lag_estimate == reports[0].lag_estimate
+
+
 def test_similarity_does_not_search_the_lag(monkeypatch):
     a, b = circle_trajectories()
 
@@ -525,8 +539,8 @@ def test_similarity_does_not_search_the_lag(monkeypatch):
 
 
 def reference_lag_samples(A, B):
-    """The per-shift loop the blocked lag search replaced, kept verbatim
-    as the reference, plus a record of every shift's score."""
+    """The loop over every shift that the lag search first was, kept
+    verbatim as the reference, plus a record of every shift's score."""
     n = len(A)
     best_shift = 0
     best_score = math.inf
@@ -546,11 +560,26 @@ def reference_lag_samples(A, B):
     return best_shift, scores
 
 
+def searched_scores(A, B):
+    """The lag search's shift and every score it computed, by shift."""
+    scores = {}
+    shift_score = evaluation._shift_score
+
+    def recording(a, b, s):
+        scores[s] = shift_score(a, b, s)
+        return scores[s]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "_shift_score", recording)
+        shift = _lag_samples(A, B)
+    return shift, scores
+
+
 def assert_lag_matches_reference(A, B):
     shift, scores = reference_lag_samples(A, B)
-    half = len(A) // 2
-    assert _lag_scores(A, B) == [scores[s] for s in range(-half, half + 1)]  # bit for bit
-    assert _lag_samples(A, B) == shift
+    searched, computed = searched_scores(A, B)
+    assert computed == {s: scores[s] for s in computed}  # bit for bit
+    assert searched == shift
     return shift
 
 
@@ -561,26 +590,65 @@ def test_lag_search_matches_the_per_shift_loop():
             noisy, clean = in_sync_circles(n, lag=int(rng.integers(0, 8)), turns=3, scale=scale, seed=n)
             assert_lag_matches_reference(noisy, clean)
             assert_lag_matches_reference(*rng.normal(0.0, scale, (2, n, 2)))
+        # every shift of two still points scores 0, and shift 0 wins the tie
+        assert assert_lag_matches_reference(np.ones((n, 2)), np.ones((n, 2))) == 0
 
 
-def test_lag_search_ties_keep_their_order():
+def tie_cases():
+    """(A, B, the shifts whose scores tie exactly, their score, the pick)."""
     # an exact tie between s and -s: B is A one sample on, both alternate
     # between two points, and every aligned pair differs by exactly 0.5
     A = np.array([(1.0, 2.0), (3.0, -1.0)] * 20)
-    B = np.roll(A, 1, axis=0) + (0.5, 0.0)
-    shift = assert_lag_matches_reference(A, B)
-    scores = _lag_scores(A, B)
-    assert scores[20 + 1] == scores[20 - 1] == 0.5
-    assert shift == -1
+    yield A, np.roll(A, 1, axis=0) + (0.5, 0.0), (1, -1), 0.5, -1
+    # the same with every odd shift at exactly 0, where the bounds are 0 too
+    yield A, np.roll(A, 1, axis=0), (1, -1, 3, -3), 0.0, -1
     # a later revolution of a periodic path against an earlier one: B
     # trails A by one sample, so shifts 1 and 1 + 7 tie exactly
     ring = [(1.0, 0.0), (0.25, 1.0), (-0.75, 0.5), (-1.0, -0.5), (-0.25, -1.0), (0.5, -0.75), (0.75, 0.25)]
     A = np.array(ring * 6)
-    B = np.roll(A, 1, axis=0) + (0.0, 0.5)
-    shift = assert_lag_matches_reference(A, B)
-    scores = _lag_scores(A, B)
-    assert scores[21 + 1] == scores[21 + 8] == scores[21 + 15] == 0.5
-    assert shift == 1
+    yield A, np.roll(A, 1, axis=0) + (0.0, 0.5), (1, 8, 15), 0.5, 1
+
+
+def test_lag_search_ties_keep_their_order():
+    for A, B, tied, score, pick in tie_cases():
+        assert assert_lag_matches_reference(A, B) == pick
+        _, computed = searched_scores(A, B)
+        assert [computed[s] for s in tied] == [score] * len(tied)  # every tied shift is scored
+
+
+def lag_bound_cases():
+    """Pairs of (n, 2) arrays for the lag bounds, and whether most of their
+    bounds must be positive."""
+    rng = np.random.default_rng(18)
+    for scale in (1e-160, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e153):
+        for n in (15, 16, 17, 200, 601):
+            noisy, clean = in_sync_circles(n, lag=3, turns=2, scale=scale, seed=n)
+            yield noisy, clean, n >= 200 and 1e-150 <= scale <= 1e150
+            yield *rng.normal(0.0, scale, (2, n, 2)), False
+            yield clean, clean, False  # shift 0 scores exactly 0
+        for A, B, *_ in tie_cases():
+            yield A * scale, B * scale, False
+
+
+def test_lag_bounds_never_exceed_the_scores():
+    for A, B, bites in lag_bound_cases():
+        _, scores = reference_lag_samples(A, B)
+        half = len(A) // 2
+        a, b = A.T.copy(), B.T.copy()
+        # (shift, bound) for shifts 0 to half, then 0 to -half
+        bounds = [(s, bound) for sign, fixed, shifted in ((1, a, b), (-1, b, a))
+                  for s, bound in zip(range(0, sign * (half + 1), sign),
+                                      evaluation._lag_bounds(fixed, shifted, half).tolist())]
+        assert all(bound <= scores[s] for s, bound in bounds), (A, B)
+        if bites:
+            assert sum(bound > 0 for _, bound in bounds) > 0.9 * len(bounds)
+
+
+def test_lag_search_scores_few_shifts_of_an_in_sync_pair():
+    noisy, clean = in_sync_circles(3000, lag=1)
+    shift, computed = searched_scores(noisy, clean)
+    assert len(computed) < 0.05 * 3001
+    assert computed[shift] == min(computed.values())
 
 
 def test_lag_search_memory_is_bounded():

@@ -259,11 +259,25 @@ def test_filter_validation():
     (5, "client_id: must be a non-empty string"),
     ("x" * 65_536, "client_id: longer than 65535 bytes"),
     ("\u00e9" * 32_768, "client_id: longer than 65535 bytes"),
+    ("\ud800", "client_id: surrogate not allowed"),
 ])
 def test_client_id_validation(client_id, text):
     with pytest.raises(PacketError) as caught:
         Connect(client_id)
     assert str(caught.value) == text
+
+
+@pytest.mark.parametrize("surrogate", ["\ud800", "\udfff", "\ud83d\ude00"])
+def test_strings_with_surrogates_are_packet_errors(surrogate):
+    # [MQTT-1.5.3-1]: no encoding of U+D800 to U+DFFF; a str holding one
+    # (a lone surrogate, or a pair, which is not one code point in a str)
+    # has no UTF-8 form
+    with pytest.raises(PacketError, match="^client_id: surrogate not allowed$"):
+        Connect(f"id{surrogate}")
+    with pytest.raises(PacketError, match="^topic: surrogate not allowed$"):
+        Publish(f"a{surrogate}", b"x")
+    with pytest.raises(PacketError, match="^filter: surrogate not allowed$"):
+        Subscribe(1, f"a/{surrogate}/#")
 
 
 def test_connect_with_a_nul_in_its_client_id_is_protocol_error():
