@@ -5,27 +5,11 @@ bus; a dead-reckoning follower turns them into drone move commands; the
 drone covers the human's blind spots with a mock detector whose
 sightings become human-relative spatial cues; and a DTW-based evaluator
 scores how tightly the drone mimicked the human's trajectory.
+
+The package itself provides only ``__version__``: import the submodule
+you use (``wingman.scenario``, ``wingman.evaluation``, ...). The bus-side
+modules (geometry, protocol, transport, agents, follower and cueing) load
+only the standard library; numpy comes in with ``wingman.evaluation``.
 """
 
-from wingman.evaluation import SyncReport, Trajectory, dtw, similarity, sync_report
-from wingman.geometry import FrameId, Pose, Vec3
-from wingman.scenario import ConfigError, RunTrace, ScenarioConfig, load_config, run_scenario
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfigError",
-    "FrameId",
-    "Pose",
-    "RunTrace",
-    "ScenarioConfig",
-    "SyncReport",
-    "Trajectory",
-    "Vec3",
-    "__version__",
-    "dtw",
-    "load_config",
-    "run_scenario",
-    "similarity",
-    "sync_report",
-]

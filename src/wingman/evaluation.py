@@ -3,8 +3,8 @@
 The similarity pipeline, pinned by regression tests:
 
 1. normalize each trajectory independently: translate its centroid to
-   the origin and scale so the max centroid distance is 1 (scaling is
-   skipped for degenerate all-equal trajectories);
+   the origin and scale so the max centroid distance is 1 (a trajectory
+   whose points are all equal becomes all zeros);
 2. resample both onto a common uniform grid spanning the overlap of
    their time ranges, with N = max(len(a), len(b)) samples;
 3. run DTW with Euclidean point cost (``math.hypot``) and steps
@@ -353,6 +353,11 @@ def _as_points(seq: Sequence) -> np.ndarray:
 
 
 def _normalize(points: np.ndarray) -> np.ndarray:
+    if (points == points[0]).all():
+        # a path that never moves has no shape to scale; the mean of its
+        # equal coordinates can round off them, and scaling would blow that
+        # rounding error up to a unit offset
+        return np.zeros_like(points)
     with np.errstate(over="ignore", invalid="ignore"):
         centered = points - points.mean(axis=0)
         scale = float(np.linalg.norm(centered, axis=1).max())

@@ -525,6 +525,20 @@ def test_sync_report_of_a_huge_circle_against_a_still_point():
         assert report.lag_estimate == reports[0].lag_estimate
 
 
+def test_a_still_point_off_the_origin_reads_alike_at_any_radius():
+    # the mean of 40 copies of 1e150 rounds off 1e150: the centred still
+    # point must not be scaled up from that rounding error to a unit offset
+    still = np.full((40, 2), (1e150, 0.0))
+    assert not evaluation._normalize(still).any()
+    times = tuple(k / 10 for k in range(40))
+    reports = []
+    for radius in (1.0, 1e150):
+        arc = Trajectory(times, tuple((radius * math.cos(0.05 * k), radius * math.sin(0.05 * k)) for k in range(40)))
+        reports.append(sync_report(arc, Trajectory(times, ((radius, 0.0),) * 40)))
+    assert reports[1].lag_estimate == reports[0].lag_estimate
+    assert reports[1].similarity == pytest.approx(reports[0].similarity, abs=1e-9)
+
+
 def test_similarity_does_not_search_the_lag(monkeypatch):
     a, b = circle_trajectories()
 
