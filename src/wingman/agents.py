@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from wingman.geometry import FrameId, Pose, Vec3, wrap_angle, wrap_azimuth
+from wingman.geometry import FrameId, Pose, Vec3, slotted, wrap_angle, wrap_azimuth
 from wingman.protocol import (
     TOPIC_CMD,
     CommandMsg,
@@ -176,34 +176,21 @@ class WearableSim:
         return truth, msg
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclass(frozen=True, slots=True)
 class DroneState:
-    """Drone-frame kinematic state plus the command being executed.
-
-    Slotted, each field stored through its slot's setter (see ``Vec3``).
-    """
+    """Drone-frame kinematic state plus the command being executed."""
 
     pose: Pose
     command: CommandMsg | None = None
     max_speed: float = 1.0
     yaw_rate: float = math.pi
 
-    def __init__(
-        self, pose: Pose, command: CommandMsg | None = None, max_speed: float = 1.0, yaw_rate: float = math.pi
-    ) -> None:
-        if max_speed <= 0:
-            raise ValueError(f"max_speed must be > 0, got {max_speed}")
-        if yaw_rate <= 0:
-            raise ValueError(f"yaw_rate must be > 0, got {yaw_rate}")
-        _set_pose(self, pose)
-        _set_command(self, command)
-        _set_max_speed(self, max_speed)
-        _set_yaw_rate(self, yaw_rate)
-
-
-_set_pose, _set_command, _set_max_speed, _set_yaw_rate = (
-    DroneState.pose.__set__, DroneState.command.__set__, DroneState.max_speed.__set__, DroneState.yaw_rate.__set__
-)
+    def __post_init__(self) -> None:
+        if self.max_speed <= 0:
+            raise ValueError(f"max_speed must be > 0, got {self.max_speed}")
+        if self.yaw_rate <= 0:
+            raise ValueError(f"yaw_rate must be > 0, got {self.yaw_rate}")
 
 
 def drone_step(state: DroneState, dt: float) -> DroneState:
@@ -455,9 +442,13 @@ def read_utf8(path: str | Path, error: type[Exception] = ValueError) -> str:
     """The text of a UTF-8 file, whatever the locale.
 
     A byte sequence that is not UTF-8 raises ``error`` naming the path and
-    the line it is on.
+    the line it is on; a path that cannot be read, such as a directory,
+    raises ``error`` naming the path.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

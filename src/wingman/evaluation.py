@@ -361,9 +361,10 @@ def _normalize(points: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         centered = points - points.mean(axis=0)
         scale = float(np.linalg.norm(centered, axis=1).max())
-    if not math.isfinite(scale):
+    if not math.isfinite(scale) or scale < 2.0**-500:
         # past about 1e154 the squares overflow (and past about 1e308 the
-        # sums): bring the points into range first
+        # sums), below about 1e-154 they underflow: bring the points into
+        # range first
         points = points / np.abs(points).max()
         centered = points - points.mean(axis=0)
         scale = float(np.linalg.norm(centered, axis=1).max())

@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from wingman.geometry import Pose, Vec3, wearable_delta_to_drone_delta, wrap_angle
+from wingman.geometry import Pose, Vec3, slotted, wearable_delta_to_drone_delta, wrap_angle
 from wingman.protocol import (
     TOPIC_CMD,
     TOPIC_POSE,
@@ -86,39 +86,20 @@ class Mode(enum.Enum):
     RETURN = "RETURN"
 
 
-# The records built on every pose are slotted, each field stored through
-# its slot's setter (see ``Vec3``).
-@dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclass(frozen=True, slots=True)
 class MissionState:
     mode: Mode = Mode.FOLLOW
     waypoints: tuple[Vec3, ...] = ()
     index: int = 0
     anchor: Pose | None = None  # last known human pose (wearable frame)
 
-    def __init__(
-        self, mode: Mode = Mode.FOLLOW, waypoints: tuple[Vec3, ...] = (), index: int = 0, anchor: Pose | None = None
-    ) -> None:
-        _set_mode(self, mode)
-        _set_waypoints(self, waypoints)
-        _set_index(self, index)
-        _set_anchor(self, anchor)
-
-
-_set_mode, _set_waypoints, _set_index, _set_anchor = (
-    MissionState.mode.__set__, MissionState.waypoints.__set__, MissionState.index.__set__, MissionState.anchor.__set__
-)
-
 
 # events
-@dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclass(frozen=True, slots=True)
 class PoseUpdate:
     pose: Pose
-
-    def __init__(self, pose: Pose) -> None:
-        _set_update_pose(self, pose)
-
-
-_set_update_pose = PoseUpdate.pose.__set__
 
 
 @dataclass(frozen=True)
@@ -140,30 +121,18 @@ MissionEvent = PoseUpdate | DetachOrder | WaypointReached | ReturnArrived
 
 
 # actions
-@dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclass(frozen=True, slots=True)
 class IssueCommand:
     target: Vec3
     yaw: float
     speed: float
 
-    def __init__(self, target: Vec3, yaw: float, speed: float) -> None:
-        _set_target(self, target)
-        _set_yaw(self, yaw)
-        _set_speed(self, speed)
 
-
-_set_target, _set_yaw, _set_speed = IssueCommand.target.__set__, IssueCommand.yaw.__set__, IssueCommand.speed.__set__
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclass(frozen=True, slots=True)
 class RunAssess:
     pose: Pose
-
-    def __init__(self, pose: Pose) -> None:
-        _set_assess_pose(self, pose)
-
-
-_set_assess_pose = RunAssess.pose.__set__
 
 
 MissionAction = IssueCommand | RunAssess

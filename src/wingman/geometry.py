@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,24 +43,52 @@ class FrameId(enum.Enum):
     WORLD = "world"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def compile_function(cls: type, name: str, params: str, body: list[str], scope: dict):
+    """The function ``name(params)`` of the source lines ``body``, made for
+    ``cls``; every value they use but keys and indices comes in through ``scope``."""
+    source = f"def {name}({params}):\n" + "\n".join("    " + line for line in body)
+    exec(compile(source, f"<{name} of {cls.__name__}>", "exec"), scope)
+    return scope[name]
+
+
+def slot_stores(cls: type, obj: str, names: list[str], scope: dict) -> list[str]:
+    """Lines storing ``names`` into ``obj``, one per dataclass field of the
+    slotted ``cls`` in field order, through its slot's setter, put in ``scope``."""
+    for i, field in enumerate(fields(cls)):
+        scope[f"s{i}"] = getattr(cls, field.name).__set__
+    return [f"s{i}({obj}, {name})" for i, name in enumerate(names)]
+
+
+def slotted(cls: type) -> type:
+    """Give the frozen, slotted dataclass ``cls`` a compiled constructor
+    with the dataclass's own signature, as ``dataclasses`` compiles its
+    methods: it stores each field, in field order, through its slot's own
+    setter (``Vec3.x.__set__``), which a frozen class's ``__setattr__``
+    does not reach, then calls ``__post_init__`` if ``cls`` has one."""
+    scope, params = {}, ["self"]
+    for i, field in enumerate(fields(cls)):
+        scope[f"d{i}"] = field.default
+        params.append(field.name if field.default is MISSING else f"{field.name}=d{i}")
+    body = slot_stores(cls, "self", [field.name for field in fields(cls)], scope)
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    cls.__init__ = compile_function(cls, "__init__", ", ".join(params), body, scope)
+    return cls
+
+
+@slotted
+@dataclass(frozen=True, slots=True)
 class Vec3:
     """Cartesian point or displacement, meters.
 
     The value classes a run builds on every tick are slotted: each holds
-    its fields in slots, not in an instance dict, and its constructor
-    stores each field through the slot's own setter (``Vec3.x.__set__``),
-    which a frozen class's ``__setattr__`` does not reach.
+    its fields in slots, not in an instance dict, and its constructor,
+    made by :func:`slotted`, stores each field through the slot's setter.
     """
 
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
-
-    def __init__(self, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
-        _set_x(self, x)
-        _set_y(self, y)
-        _set_z(self, z)
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -86,9 +114,6 @@ class Vec3:
         return (self.x, self.y, self.z)
 
 
-_set_x, _set_y, _set_z = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
-
-
 def _require_finite(v: Vec3, op: str) -> None:
     if not v.is_finite():
         raise ValueError(f"{op}: non-finite vector ({v.x}, {v.y}, {v.z})")
@@ -100,7 +125,8 @@ class Pose:
 
     Yaw is normalized to [-pi, pi) on construction. Timestamps are
     simulation-clock seconds and must be finite and non-negative. The
-    constructor checks its inputs, then stores each field once through its
+    constructor, written out rather than made by :func:`slotted` so that it
+    checks and wraps before it stores, stores each field once through its
     slot's setter, the yaw through :func:`wrap_angle`.
     """
 

@@ -6,9 +6,10 @@ Topic -> schema binding is closed: ``tagteam/pose`` carries PoseMsg,
 ``tagteam/cues`` carries CueMsg. The table ``_WIRE`` below is the one
 source of each message's wire keys, their order, their wire types and
 each field's constraint. The decoder and the check walk it; on first use
-it is compiled into each object's encoder and builder and each message
-type's constructor and its test. Messages, like the ``Vec3`` and ``Pose``
-they hold, are slotted. docs/protocol.md describes what the fields mean.
+it is compiled into each object's encoder, builder and test. Messages,
+like the ``Vec3`` and ``Pose`` they hold, are slotted, each constructor
+made by ``geometry.slotted``. docs/protocol.md describes what the fields
+mean.
 
 Encoding is canonical: fixed key order, floats rendered with 9
 significant digits, no whitespace, and an int or float subclass written
@@ -52,7 +53,7 @@ from collections import namedtuple
 from functools import cached_property
 from json.encoder import encode_basestring, encode_basestring_ascii
 
-from wingman.geometry import FrameId, Pose, Vec3, wrap_angle, wrap_azimuth
+from wingman.geometry import FrameId, Pose, Vec3, compile_function, slot_stores, slotted, wrap_angle, wrap_azimuth
 
 TOPIC_POSE = "tagteam/pose"
 TOPIC_CMD = "tagteam/cmd"
@@ -125,7 +126,8 @@ def _check(msg) -> None:
         wire.check(values, nested=True)
 
 
-@dataclasses.dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclasses.dataclass(frozen=True, slots=True)
 class PoseMsg:
     """Wearable pose sample; sequence is strictly increasing per source."""
 
@@ -136,7 +138,8 @@ class PoseMsg:
     __post_init__ = _check
 
 
-@dataclasses.dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclasses.dataclass(frozen=True, slots=True)
 class CommandMsg:
     """Absolute drone-frame position target plus commanded speed and yaw."""
 
@@ -148,7 +151,8 @@ class CommandMsg:
     __post_init__ = _check
 
 
-@dataclasses.dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclasses.dataclass(frozen=True, slots=True)
 class DetachMsg:
     """Order to leave the human, visit waypoints and boomerang back.
 
@@ -164,7 +168,8 @@ class DetachMsg:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
 
 
-@dataclasses.dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclasses.dataclass(frozen=True, slots=True)
 class DetectionMsg:
     """World-frame object sighting reported by the drone's detector."""
 
@@ -177,7 +182,8 @@ class DetectionMsg:
     __post_init__ = _check
 
 
-@dataclasses.dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclasses.dataclass(frozen=True, slots=True)
 class CueMsg:
     """Human-relative polar rendering of a detection, with blind-spot flag."""
 
@@ -309,7 +315,7 @@ class _Object:
             body += ["else:", f"    {t}, {v} = p{i}({v})"] if kind is float or kind is str else [f"{t}, {v} = p{i}({v})"]
             template += ("," if i else "") + json.dumps(key).translate(_BRACED) + ":{" + t + "}"
         body.append(f"return f{template + '}}'!r}, build(make, {names})")
-        return _compile(self.cls, "render", "obj", body, scope)
+        return compile_function(self.cls, "render", "obj", body, scope)
 
     @cached_property
     def admits(self):
@@ -333,7 +339,7 @@ class _Object:
                 scope[f"r{i}"] = rule.admits
                 tests[-1] += f" and r{i}({v})"
         names = ", ".join(f"v{i}" for i in range(len(self.fields)))
-        return _compile(self.cls, "admits", names, ["return (" + "\n        and ".join(tests) + ")"], scope)
+        return compile_function(self.cls, "admits", names, ["return (" + "\n        and ".join(tests) + ")"], scope)
 
     @cached_property
     def make(self):
@@ -341,16 +347,15 @@ class _Object:
         each field, in dataclass field order, stored through its slot's setter."""
         scope = {"new": object.__new__, "cls": self.cls}
         names = [f"v{i}" for i in range(len(dataclasses.fields(self.cls)))]
-        body = ["obj = new(cls)", *_stores(self.cls, "obj", names, scope), "return obj"]
-        return _compile(self.cls, "make", ", ".join(names), body, scope)
+        body = ["obj = new(cls)", *slot_stores(self.cls, "obj", names, scope), "return obj"]
+        return compile_function(self.cls, "make", ", ".join(names), body, scope)
 
 
 class _Message(_Object):
     """The top-level object of one message type, published on ``topic``.
 
     It opens with the version and, on ``tagteam/cmd`` only, with the
-    ``kind`` discriminator. The constructor of ``cls`` is ``init``, made
-    on the first construction; it stores the fields as ``make`` does.
+    ``kind`` discriminator.
     """
 
     def __init__(self, cls: type, topic: str, kind: str | None, fields, values, build) -> None:
@@ -358,39 +363,9 @@ class _Message(_Object):
         self.topic, self.kind = topic, kind
         self.head = f'{{"v":{MESSAGE_VERSION},' + (f'"kind":{json.dumps(kind)},' if kind else "")
 
-        def init_on_first_call(obj, *args, **kwargs):
-            cls.__init__ = self.init
-            self.init(obj, *args, **kwargs)
-
-        cls.__init__ = init_on_first_call
-
-    @cached_property
-    def init(self):
-        """The constructor of ``cls``: it stores each field through its
-        slot's setter, then calls ``__post_init__``, looked up on each call."""
-        scope, names = {}, [field.name for field in dataclasses.fields(self.cls)]
-        body = [*_stores(self.cls, "self", names, scope), "self.__post_init__()"]
-        return _compile(self.cls, "__init__", ", ".join(["self", *names]), body, scope)
-
 
 # Maps text to the literal text of an f-string: braces doubled.
 _BRACED = str.maketrans({"{": "{{", "}": "}}"})
-
-
-def _compile(cls: type, name: str, params: str, body: list[str], scope: dict):
-    """The function ``name(params)`` of the source lines ``body``; every
-    value they use but keys and indices comes in through ``scope``."""
-    source = f"def {name}({params}):\n" + "\n".join("    " + line for line in body)
-    exec(compile(source, f"<{name} of {cls.__name__}>", "exec"), scope)
-    return scope[name]
-
-
-def _stores(cls: type, obj: str, names: list[str], scope: dict) -> list[str]:
-    """Lines storing ``names`` into ``obj``, one per dataclass field of the
-    slotted ``cls`` in field order, through its slot's setter, put in ``scope``."""
-    for i, field in enumerate(dataclasses.fields(cls)):
-        scope[f"s{i}"] = getattr(cls, field.name).__set__
-    return [f"s{i}({obj}, {name})" for i, name in enumerate(names)]
 
 
 def _passer(kind):

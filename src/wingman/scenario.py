@@ -47,7 +47,7 @@ from wingman.agents import (
 from wingman.cueing import AttentionModel, CueEngine
 from wingman.evaluation import SyncReport, Trajectory, sync_report
 from wingman.follower import FollowerConfig, FollowerLoop
-from wingman.geometry import FrameId, Pose, Vec3, wearable_delta_to_drone_delta, wrap_angle
+from wingman.geometry import FrameId, Pose, Vec3, slotted, wearable_delta_to_drone_delta, wrap_angle
 from wingman.protocol import (
     TOPIC_CMD,
     TOPIC_DETECTIONS,
@@ -116,26 +116,15 @@ class ScenarioConfig:
             raise ConfigError(f"broker_host must be a non-empty string, got {self.broker_host!r}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@slotted
+@dataclass(frozen=True, slots=True)
 class TraceRow:
-    """One tick of a run; slotted, each field stored through its slot's
-    setter (see ``Vec3``)."""
+    """One tick of a run."""
 
     t: float
     human: Pose  # world frame
     drone: Pose  # world frame
     mode: str
-
-    def __init__(self, t: float, human: Pose, drone: Pose, mode: str) -> None:
-        _set_t(self, t)
-        _set_human(self, human)
-        _set_drone(self, drone)
-        _set_mode(self, mode)
-
-
-_set_t, _set_human, _set_drone, _set_mode = (
-    TraceRow.t.__set__, TraceRow.human.__set__, TraceRow.drone.__set__, TraceRow.mode.__set__
-)
 
 
 @dataclass

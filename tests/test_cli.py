@@ -150,6 +150,16 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
         way.write_text(f"t,x,y,z\n0,0,0,0\n{row}\n")
         assert main(["run", "--trajectory", "waypoints", "--waypoints-csv", str(way), "--duration", "1"]) == 2
         assert f"{way} line 3: non-finite waypoint {row}" in capsys.readouterr().err
+    # a directory given for an input file is a config error naming it
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for argv in (["run", "--config", str(folder)],
+                 ["run", "--world-csv", str(folder), "--duration", "1"],
+                 ["run", "--trajectory", "waypoints", "--waypoints-csv", str(folder), "--duration", "1"],
+                 ["eval", "--trace", str(folder)],
+                 ["eval", "--annotations", str(folder)]):
+        assert main(argv) == 2, argv
+        assert f"{folder}: cannot read" in capsys.readouterr().err, argv
 
 
 # each holds one config number that is a bool, a string, NaN, an infinity

@@ -511,12 +511,13 @@ def test_sync_report_invariants():
 
 
 def test_sync_report_of_a_huge_circle_against_a_still_point():
-    # past about 1e154 the squares of the circle's centred points overflow;
-    # a drone that never moves must not read as perfectly in sync
+    # past about 1e154 the squares of the circle's centred points overflow,
+    # below about 1e-154 they underflow; a drone that never moves must not
+    # read as perfectly in sync
     times = tuple(k / 10 for k in range(40))
     still = Trajectory(times, ((0.0, 0.0),) * 40)
     reports = []
-    for radius in (1.0, 1e150, 1e200, 1.7e308):
+    for radius in (1.0, 1e150, 1e200, 1.7e308, 1e-160, 1e-170, 1e-200, 1e-300):
         circle = Trajectory(times, tuple((radius * math.cos(t), radius * math.sin(t)) for t in times))
         reports.append(sync_report(circle, still))
     assert reports[0].similarity < 0.6

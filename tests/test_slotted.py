@@ -4,11 +4,14 @@ of before."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
+import wingman
 from conftest import parse
 from wingman.agents import DroneState
 from wingman.follower import IssueCommand, MissionState, Mode, PoseUpdate, RunAssess
@@ -70,6 +73,15 @@ def test_slotted_value_class(cls, args, changes):
     assert type(changed) is cls and not hasattr(changed, "__dict__") and changed != obj
     assert [getattr(changed, name) for name in names] == [changes.get(n, a) for n, a in zip(names, args)]
     assert dataclasses.replace(changed, **{n: getattr(obj, n) for n in changes}) == obj
+
+
+def test_every_slotted_class_is_checked_here():
+    # a class that gets its constructor from ``slotted`` must meet the checks above
+    src = Path(wingman.__file__).parent
+    decorated = {node.name for path in src.rglob("*.py") for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                 if isinstance(node, ast.ClassDef) and any(
+                     isinstance(d, ast.Name) and d.id == "slotted" for d in node.decorator_list)}
+    assert {"Vec3", "CueMsg"} <= decorated <= {cls.__name__ for cls, _, _ in SLOTTED}
 
 
 def test_slotted_defaults():
