@@ -1,6 +1,9 @@
 """Command-line entry point: broker, run, eval, gen-trajectory.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+
+The scenario engine and the evaluator (and with it numpy) are imported
+by the commands that use them, so ``wingman broker`` loads neither.
 """
 
 from __future__ import annotations
@@ -12,20 +15,7 @@ import time
 from contextlib import nullcontext
 from pathlib import Path
 
-from wingman.evaluation import AnnotationError, load_annotations, sync_report
-from wingman.protocol import format_float
-from wingman.scenario import (
-    ConfigError,
-    broker_port_default,
-    check_broker_port,
-    config_from_dict,
-    load_config,
-    open_artifact,
-    read_trace_csv,
-    report_summary,
-    run_scenario,
-    write_report_json,
-)
+from wingman.errors import AnnotationError, ConfigError, broker_port_default, check_broker_port
 from wingman.transport import Broker, TcpBrokerServer
 from wingman.transport.broker import DEFAULT_PORT
 
@@ -131,6 +121,8 @@ def _cmd_broker(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from wingman.scenario import config_from_dict, load_config, report_summary, run_scenario
+
     overrides = _overrides(args)
     if args.config is not None:
         cfg = load_config(args.config, overrides)
@@ -198,6 +190,9 @@ def _set_key(overrides: dict, key: str, value) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from wingman.evaluation import load_annotations, sync_report
+    from wingman.scenario import read_trace_csv, report_summary, write_report_json
+
     if args.annotations is not None:
         if not args.annotations.exists():
             raise ConfigError(f"annotation file {args.annotations} does not exist")
@@ -220,6 +215,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from wingman.protocol import FLOAT_SPEC
+    from wingman.scenario import config_from_dict, open_artifact
+
+    row = ",".join(["%" + FLOAT_SPEC] * 4) + "\n"  # t, x, y, z as the wire writes floats
     # no broker here: a fixed port keeps WINGMAN_BROKER_PORT from being read
     cfg = config_from_dict({"broker_port": DEFAULT_PORT, **_overrides(args)})
     spec = cfg.trajectory
@@ -228,7 +227,7 @@ def _cmd_gen(args) -> int:
         for k in range(int(round(cfg.duration * spec.rate))):
             t = k / spec.rate
             p = spec.kind.position(t)
-            fh.write(",".join(format_float(v) for v in (t, p.x, p.y, p.z)) + "\n")
+            fh.write(row % (t, p.x, p.y, p.z))
     return EXIT_OK
 
 

@@ -56,12 +56,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from wingman.agents import read_headed_csv
+from wingman.errors import AnnotationError
 
 ANNOTATION_HEADER = ["frame", "label", "xmin", "ymin", "xmax", "ymax"]
-
-
-class AnnotationError(ValueError):
-    """Malformed annotation input: CSV content or frame rate."""
 
 
 @dataclass(frozen=True)

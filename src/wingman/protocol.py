@@ -71,9 +71,14 @@ class ValidationError(Exception):
     """A message field is missing, extra, ill-typed or out of range."""
 
 
+# the wire's float spec: 9 significant digits, the one source of every
+# float the wire and the artifacts write ("%" + FLOAT_SPEC renders alike)
+FLOAT_SPEC = ".9g"
+
+
 def format_float(x: float) -> str:
     """Canonical wire rendering of a float: 9 significant digits."""
-    return format(x, ".9g")
+    return format(x, FLOAT_SPEC)
 
 
 def wire_float(x: float) -> float:
@@ -106,7 +111,7 @@ def canonical_json(value) -> str:
     if isinstance(value, int):
         return str(int(value))
     if isinstance(value, float):
-        return format(float(value), ".9g")
+        return format(float(value), FLOAT_SPEC)
     if isinstance(value, str):
         return encode_basestring(value)  # as json.dumps(value, ensure_ascii=False)
     if isinstance(value, dict):
@@ -309,7 +314,7 @@ class _Object:
             # the check lets a plain float only into a float field and a plain
             # str only into a string field: the values a run sends, inlined
             if kind is float:
-                body += [f"if type({v}) is float:", f"    {t} = format({v}, '.9g')", f"    {v} = float({t}) + 0.0"]
+                body += [f"if type({v}) is float:", f"    {t} = format({v}, {FLOAT_SPEC!r})", f"    {v} = float({t}) + 0.0"]
             elif kind is str:
                 body += [f"if type({v}) is str:", f"    {t} = encode_basestring({v})"]
             body += ["else:", f"    {t}, {v} = p{i}({v})"] if kind is float or kind is str else [f"{t}, {v} = p{i}({v})"]

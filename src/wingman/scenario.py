@@ -21,7 +21,6 @@ and the detector runs on the post-step pose, stamped with the tick time.
 from __future__ import annotations
 
 import math
-import os
 import random
 import sys
 import time
@@ -45,10 +44,12 @@ from wingman.agents import (
     read_utf8,
 )
 from wingman.cueing import AttentionModel, CueEngine
+from wingman.errors import ConfigError, broker_port_default, check_broker_port
 from wingman.evaluation import SyncReport, Trajectory, sync_report
 from wingman.follower import FollowerConfig, FollowerLoop
 from wingman.geometry import FrameId, Pose, Vec3, slotted, wearable_delta_to_drone_delta, wrap_angle
 from wingman.protocol import (
+    FLOAT_SPEC,
     TOPIC_CMD,
     TOPIC_DETECTIONS,
     TOPIC_POSE,
@@ -61,19 +62,9 @@ from wingman.transport import Broker, MemoryTransport, MqttClient, SocketTranspo
 from wingman.transport.broker import DEFAULT_PORT
 
 TRACE_HEADER = "t,hx,hy,hz,hyaw,dx,dy,dz,dyaw,mode"
-
-PORT_ENV_VAR = "WINGMAN_BROKER_PORT"
-
-
-class ConfigError(Exception):
-    """The scenario configuration is invalid or references missing files."""
-
-
-def check_broker_port(port) -> int:
-    """``port`` if it is an int (not a bool) in 0..65535; else ConfigError."""
-    if isinstance(port, bool) or not isinstance(port, int) or not 0 <= port <= 65535:
-        raise ConfigError(f"broker_port must be 0..65535, got {port!r}")
-    return port
+# one trace.csv line: nine floats as the wire writes them, then the mode
+# ("%.9g" % x is format(x, ".9g"), so format_float's text)
+TRACE_ROW = ",".join(["%" + FLOAT_SPEC] * 9) + ",%s\n"
 
 
 @dataclass(frozen=True)
@@ -154,12 +145,21 @@ class RunTrace:
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str | Path | None = None) -> tuple[RunTrace, SyncReport]:
-    """Run one scenario; optionally write trace.csv/report.json/messages.jsonl."""
+    """Run one scenario; optionally write trace.csv/report.json/messages.jsonl.
+
+    ``out_dir`` is made before the first tick, so a path that cannot be a
+    directory, such as an existing file or a path under one, is a
+    ConfigError naming it before anything runs.
+    """
+    if out_dir is not None:
+        out = Path(out_dir)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{out}: cannot make the output directory: {exc.strerror or exc}") from exc
     trace = _run(cfg)
     report = sync_report(trace.human_trajectory(), trace.drone_trajectory())
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, out / "trace.csv")
         write_report_json(report, out / "report.json")
         write_messages_jsonl(trace, out / "messages.jsonl")
@@ -261,18 +261,25 @@ def _run(cfg: ScenarioConfig) -> RunTrace:
 
 
 def open_artifact(path: str | Path) -> TextIO:
-    """Open ``path`` to write an artifact: UTF-8 whatever the locale, lines end in ``\\n``."""
-    return open(path, "w", encoding="utf-8", newline="\n")
+    """Open ``path`` to write an artifact: UTF-8 whatever the locale, lines end in ``\\n``.
+
+    A path that cannot be opened, such as a directory, is a ConfigError naming it.
+    """
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def write_trace_csv(trace: RunTrace, path: str | Path) -> None:
+    """One line per row, each rendered by one ``%`` format of ``TRACE_ROW``
+    and written as soon as it is rendered."""
     with open_artifact(path) as fh:
         fh.write(TRACE_HEADER + "\n")
         for row in trace.rows:
             h, d = row.human, row.drone
-            values = [row.t, h.position.x, h.position.y, h.position.z, h.yaw,
-                      d.position.x, d.position.y, d.position.z, d.yaw]
-            fh.write(",".join(format_float(v) for v in values) + f",{row.mode}\n")
+            hp, dp = h.position, d.position
+            fh.write(TRACE_ROW % (row.t, hp.x, hp.y, hp.z, h.yaw, dp.x, dp.y, dp.z, d.yaw, row.mode))
 
 
 def read_trace_csv(path: str | Path) -> RunTrace:
@@ -338,17 +345,6 @@ def report_summary(report: SyncReport, ticks: int | None = None) -> str:
     if ticks is not None:
         parts.append(f"ticks={ticks}")
     return " ".join(parts)
-
-
-def broker_port_default() -> int:
-    """Default broker port honoring the environment override."""
-    value = os.environ.get(PORT_ENV_VAR)
-    if value is None:
-        return DEFAULT_PORT
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{PORT_ENV_VAR} must be an integer, got {value!r}") from exc
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from conftest import wait_until
 
 import wingman
-from wingman import cli
+from wingman import cli, scenario
 from wingman.cli import main
 from wingman.transport import MqttClient, SocketTransport
 
@@ -61,6 +62,24 @@ def test_gen_trajectory_stdout_and_validation(capsys):
     assert main(["gen-trajectory", "--kind", "circle", "--semi-a", "1"]) == 2
     assert main(["gen-trajectory", "--kind", "ellipse", "--radius", "1"]) == 2
     capsys.readouterr()
+
+
+# sha256 of the CSV that gen-trajectory writes for the default circle
+# and for one ellipse: the t,x,y,z rows stay byte for byte as they are
+GEN_DIGESTS = [
+    ([], "8441ac99df33d241849819d34370317100a6f479fbf067e71deb77ada059ce96"),
+    (["--kind", "ellipse", "--semi-a", "2", "--semi-b", "1"],
+     "2c17d866c6932f49e0a7eb3c826faea663f2aec17a4ea5ef60739339465af755"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", GEN_DIGESTS, ids=["circle", "ellipse"])
+def test_gen_trajectory_bytes_are_pinned(flags, digest, tmp_path, capsys):
+    out = tmp_path / "trajectory.csv"
+    assert main(["gen-trajectory", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert main(["gen-trajectory", *flags]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
 def test_run_with_config_and_out(tmp_path, capsys):
@@ -160,6 +179,30 @@ def test_run_config_errors_exit_2(tmp_path, capsys):
                  ["eval", "--annotations", str(folder)]):
         assert main(argv) == 2, argv
         assert f"{folder}: cannot read" in capsys.readouterr().err, argv
+
+
+def test_out_paths_that_cannot_be_written_exit_2_before_any_tick(tmp_path, monkeypatch, capsys):
+    assert main(["run", "--duration", "1", "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    trace = tmp_path / "run" / "trace.csv"
+    a_file = tmp_path / "a_file"
+    a_file.write_text("kept\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+
+    def tick(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(scenario, "_run", tick)
+    for argv in (["run", "--config", str(CONFIGS / "demo.json"), "--duration", "1", "--out", str(a_file)],
+                 ["run", "--duration", "1", "--out", str(a_file / "under")],
+                 ["gen-trajectory", "--duration", "1", "--out", str(folder)],
+                 ["eval", "--trace", str(trace), "--out", str(folder)]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith(f"error: {argv[-1]}: cannot ") and err.count("\n") == 1, (argv, err)
+    assert a_file.read_text() == "kept\n"
 
 
 # each holds one config number that is a bool, a string, NaN, an infinity

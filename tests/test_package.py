@@ -1,7 +1,8 @@
-"""Package layout: the bus-side modules start without the evaluator."""
+"""Package layout: the bus-side modules and the CLI start without the evaluator."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -10,20 +11,31 @@ from pathlib import Path
 import wingman
 
 BUS_SIDE = ["wingman", "wingman.geometry", "wingman.protocol", "wingman.transport",
-            "wingman.agents", "wingman.follower", "wingman.cueing"]
+            "wingman.agents", "wingman.follower", "wingman.cueing", "wingman.errors"]
 EVALUATOR_SIDE = ["numpy", "wingman.evaluation", "wingman.scenario", "wingman.cli"]
 
 
-def test_bus_side_modules_load_no_evaluator():
-    # a fresh interpreter: this one has long since imported everything
+def loaded_after(imports: list[str], watched: list[str]) -> list[str]:
+    """The ``watched`` modules that importing ``imports`` loads in a fresh
+    interpreter (this one has long since imported everything)."""
     src = str(Path(wingman.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
-        "import importlib, sys\n"
-        f"for name in {BUS_SIDE!r}:\n"
+        "import importlib, json, sys\n"
+        f"for name in {imports!r}:\n"
         "    importlib.import_module(name)\n"
-        f"print(sorted(name for name in {EVALUATOR_SIDE!r} if name in sys.modules))\n"
+        f"print(json.dumps(sorted(name for name in {watched!r} if name in sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return json.loads(proc.stdout)
+
+
+def test_bus_side_modules_load_no_evaluator():
+    assert loaded_after(BUS_SIDE, EVALUATOR_SIDE) == []
+
+
+def test_the_cli_loads_no_evaluator():
+    # `wingman broker` runs only the transport: the scenario engine and the
+    # evaluator come in with the commands that use them
+    assert loaded_after(["wingman.cli"], ["numpy", "wingman.evaluation", "wingman.scenario"]) == []

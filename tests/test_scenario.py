@@ -1,18 +1,23 @@
 import dataclasses
 import hashlib
 import json
+import math
+import random
+import struct
 import threading
 import tracemalloc
 from collections import Counter
 from json.encoder import encode_basestring
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import world_to_drone_frame
 from wingman import cueing, follower, scenario
 from wingman.geometry import FrameId, Pose, Vec3
 from wingman.protocol import (
+    FLOAT_SPEC,
     TOPIC_CMD,
     TOPIC_CUES,
     TOPIC_DETECTIONS,
@@ -459,6 +464,38 @@ def joined_trace_csv(trace: RunTrace) -> str:
                   d.position.x, d.position.y, d.position.z, d.yaw]
         lines.append(",".join(format_float(v) for v in values) + f",{row.mode}")
     return "\n".join(lines) + "\n"
+
+
+def edge_numbers(count: int) -> list:
+    """Floats from ``count`` seeded 64-bit patterns (subnormals, infinities
+    and NaNs among them), then the edges of the float range, ints, bools
+    and numpy scalars."""
+    rng = random.Random(35)
+    numbers = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(count)]
+    return numbers + [
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1.7976931348623157e308, 1e16, 123456789.5, math.inf, -math.inf, math.nan,
+        0, 7, -12345678901, 10**300, True, False,
+        np.float64(0.1), np.float64(-2.5e-310), np.float32(1.1), np.float32(-0.0), np.int64(-3),
+    ]
+
+
+def test_the_row_template_renders_what_format_float_renders(tmp_path):
+    spec = "%" + FLOAT_SPEC
+    numbers = edge_numbers(20_000)
+    assert [spec % x for x in numbers] == [format_float(x) for x in numbers]
+    assert scenario.TRACE_ROW == ",".join([spec] * 9) + ",%s\n"
+    # a trace whose rows hold those numbers: positions and yaws take the
+    # finite ones (a Pose refuses the rest), the tick time takes them all
+    finite = [x for x in numbers if math.isfinite(x)]
+    rows = []
+    for k, t in enumerate(numbers):
+        h, d = (Pose(Vec3(*(finite[(k + j) % len(finite)] for j in range(s, s + 3))),
+                     finite[(k + s + 3) % len(finite)], FrameId.WORLD, 0.0) for s in (0, 4))
+        rows.append(TraceRow(t, h, d, "FOLLOW" if k % 2 else "DETACH"))
+    trace = RunTrace(rows=rows)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == joined_trace_csv(trace).encode("utf-8")
 
 
 @pytest.mark.parametrize("messages", [[], ODD_MESSAGES[1:2], ODD_MESSAGES],
